@@ -11,20 +11,26 @@ This bench gates the vectorized inference engine's two contracts:
   agreeing to 1e-8.
 
 It also replays the Fig. 8 capacity experiment with the SHAP service
-median rescaled by the measured speedup (via ``service_time_overrides``)
-and shows the ``xai.shap`` span's critical-path share shrinking inside a
-traced explain request.  ``python benchmarks/bench_inference.py`` writes
-the measured numbers to ``BENCH_inference.json`` as the committed
+median rescaled by the measured speedup (via ``service_time_overrides``),
+shows the ``xai.shap`` span's critical-path share shrinking inside a
+traced explain request, and times the bitvector leaf kernel against the
+level-synchronous traversal on the serving fixture's forest, the
+use-case-2 boosted models and a forest with over 255 thresholds on one
+feature (reported, not gated).  ``python benchmarks/bench_inference.py``
+writes the measured numbers to ``BENCH_inference.json`` as the committed
 baseline.
 """
 
+import dataclasses
 import json
 import time
 from pathlib import Path
 
 import numpy as np
 
+from repro.datasets import generate_network_dataset
 from repro.gateway import LoadGenerator, ThreadGroup, build_paper_deployment
+from repro.ml import StandardScaler, lightgbm_like, train_test_split, xgboost_like
 from repro.ml.forest import RandomForestClassifier
 from repro.tracing import TraceCollector, Tracer, critical_path
 from repro.xai._reference import loop_shap_values
@@ -45,6 +51,11 @@ MEASUREMENT_BUDGET_S = 120.0
 #: Paper-published SHAP tabular median (seconds) from the Fig. 8 cluster
 #: config — the "before" service time the capacity replay rescales.
 SHAP_TABULAR_MEDIAN_S = 0.0091
+
+#: Row counts of the leaf-kernel timings: one request, a full micro-batch,
+#: a small stack, one instance's Kernel SHAP stack (62 coalitions x 32
+#: background rows) and a fused batch of eight instances.
+LEAF_KERNEL_ROWS = (1, 8, 64, 1984, 15872)
 
 _BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_inference.json"
 
@@ -82,6 +93,80 @@ def _shap_case():
     x = gen.normal(size=8)
     X_batch = gen.normal(size=(16, 8))
     return model, background, x, X_batch
+
+
+def _leaf_kernel_cases():
+    """Forests the leaf kernel is selected for, with their feature counts.
+
+    The serving fixture of ``bench_serving.py`` and the e2e benchmark (RF,
+    10 trees of depth 6); the use-case-2 boosted models of
+    ``benchmarks/conftest.py`` (90 trees each, ~19 used features); and a
+    one-feature forest with over 255 thresholds, whose ranks are counted
+    in uint16.
+    """
+    gen = np.random.default_rng(7)
+    X = gen.normal(size=(400, 6))
+    y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(int)
+    yield "rf_fixture", RandomForestClassifier(
+        n_estimators=10, max_depth=6, seed=0
+    ).fit(X, y), 6
+    dataset = generate_network_dataset(seed=0)
+    X_train, __, y_train, __ = train_test_split(
+        dataset.X, dataset.y, test_size=0.27, seed=0
+    )
+    X_train = StandardScaler().fit(X_train).transform(X_train)
+    d = X_train.shape[1]
+    yield "uc2_lightgbm", lightgbm_like(n_estimators=30, seed=0).fit(
+        X_train, y_train
+    ), d
+    yield "uc2_xgboost", xgboost_like(n_estimators=30, seed=0).fit(
+        X_train, y_train
+    ), d
+    X = gen.normal(size=(2000, 1))
+    yield "rf_one_feature", RandomForestClassifier(
+        n_estimators=12, max_depth=6, seed=0
+    ).fit(X, gen.integers(0, 2, size=2000)), 1
+
+
+def _leaf_kernel_timings(results):
+    """Bitvector leaf kernel vs traversal per forest and row count.
+
+    Both kernels run on the same compiled arena, alternating in rounds so
+    host drift hits both; each figure is the best round.
+    """
+    gen = np.random.default_rng(8)
+    cases = {}
+    for name, model, d in _leaf_kernel_cases():
+        forest = model.flat_forest_
+        kernel = forest.bitvectors
+        traversal = dataclasses.replace(forest, bitvectors=None)
+        equal, bitvector_ms, traversal_ms = True, [], []
+        for rows in LEAF_KERNEL_ROWS:
+            X_rows = gen.normal(size=(rows, d))
+            runs = [
+                lambda f=f: f.accumulate(X_rows, np.zeros((rows, forest.width)))
+                for f in (forest, traversal)
+            ]
+            equal = equal and np.array_equal(runs[0](), runs[1]())
+            repeats = 40 if rows < 1000 else 3
+            best = [np.inf, np.inf]
+            for __ in range(5):
+                for k, run in enumerate(runs):
+                    best[k] = min(best[k], _best_of(run, repeats))
+            bitvector_ms.append(best[0] * 1000)
+            traversal_ms.append(best[1] * 1000)
+        cases[name] = {
+            "selected": kernel is not None,
+            "trees": forest.n_trees,
+            "used_features": len(kernel.masks),
+            "max_thresholds": max(block.shape[1] for block in kernel.thresholds),
+            "chunk_rows": kernel.chunk_rows,
+            "bitwise_equal": bool(equal),
+            "bitvector_ms": bitvector_ms,
+            "traversal_ms": traversal_ms,
+        }
+    results["leaf_kernel_rows"] = list(LEAF_KERNEL_ROWS)
+    results["leaf_kernel"] = cases
 
 
 def measure_all():
@@ -158,6 +243,8 @@ def measure_all():
         forest,
         X_eval,
     )
+
+    _leaf_kernel_timings(results)
 
     results["measurement_seconds"] = time.perf_counter() - started
     return results
@@ -245,6 +332,15 @@ def measurements(figure_printer):
                 results["shap_critical_share_after"],
                 float("nan"),
             ),
+        ]
+        + [
+            (f"{name} {rows}", before, after, before / after)
+            for name, case in results["leaf_kernel"].items()
+            for rows, before, after in zip(
+                results["leaf_kernel_rows"],
+                case["traversal_ms"],
+                case["bitvector_ms"],
+            )
         ],
     )
     return results

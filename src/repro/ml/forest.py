@@ -105,14 +105,16 @@ class RandomForestClassifier(Classifier):
         return self._flat_forest
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Soft vote through the flat arena kernel.
+        """Soft vote through the compiled :class:`~repro.ml.flattree.FlatForest`.
 
-        All trees traverse simultaneously via :class:`~repro.ml.flattree
-        .FlatForest` (one state matrix, ``max_depth`` wide gather steps);
-        the accumulation stays *sequential* per tree — with zeros in the
-        class columns a bootstrap never saw — so the float summation
-        order, and therefore the output bit for bit, matches the
-        recursive reference.
+        Forests whose trees all have at most 64 leaves find every row's
+        leaves with the bitvector leaf kernel (one rank per used feature
+        and an AND of table rows, in chunks of 1,024-4,096 rows); deeper
+        forests, or ones whose rank tables would be too large, advance all
+        trees in one ``max_depth``-step traversal.  Either way the
+        accumulation stays *sequential* per tree — with zeros in the class
+        columns a bootstrap never saw — so the float summation order, and
+        therefore the output bit for bit, matches the recursive reference.
         """
         if not self.trees_:
             raise RuntimeError("model used before fit()")

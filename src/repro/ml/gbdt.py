@@ -149,9 +149,12 @@ class GradientBoostedTreesClassifier(Classifier):
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Raw additive scores per class before the softmax link.
 
-        All weak learners traverse at once through the flat arena kernel;
-        the accumulation order (round-major, class-minor, starting from
-        the base score) matches the recursive reference bit for bit.
+        All weak learners are evaluated at once by the compiled
+        :class:`~repro.ml.flattree.FlatForest` (the bitvector leaf kernel
+        when every tree has at most 64 leaves, as both presets' do, and the
+        rank tables stay within their size bound); the accumulation order
+        (round-major, class-minor, starting from the base score) matches
+        the recursive reference bit for bit.
         """
         if not self.trees_ or self.base_score_ is None:
             raise RuntimeError("model used before fit()")

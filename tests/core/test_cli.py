@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.telemetry import TelemetryEvent, WriteAheadLog
 
@@ -476,6 +480,25 @@ class TestTelemetryCorruption:
         code = main(["telemetry", "--wal", str(wal_dir)])
         assert code == 2
         assert "damaged mid-stream" in capsys.readouterr().err
+
+
+class TestPipedOutput:
+    def test_closed_pipe_exits_without_traceback(self):
+        # `python -m repro taxonomy | head -1`, with the reader gone before
+        # the first write so the broken pipe is certain, not a race
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        read_end, write_end = os.pipe()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "taxonomy"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        os.close(write_end)
+        os.close(read_end)
+        __, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert stderr == b""
 
 
 class TestTraceCommand:

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ml import RandomForestClassifier
+from repro.ml.gbdt import xgboost_like
 from repro.xai._reference import loop_shap_values, loop_shap_values_batch
 from repro.xai.shap import (
     KernelShapExplainer,
@@ -169,3 +171,39 @@ class TestBatchValidation:
         assert explainer.shap_values_batch(
             np.zeros((0, 3)), class_index=0
         ).shape == (0, 3)
+
+
+class TestChunkedForestRowStability:
+    """The serving layer's batching contract, through the chunked kernel.
+
+    ``shap_values_batch_exact`` evaluates one stacked matrix for the whole
+    batch; with forest models that matrix crosses the bitvector leaf
+    kernel's chunk boundaries mid-instance, while a per-row call fits in
+    one chunk.  Each row's leaves and sums must not depend on the chunk it
+    landed in, so the batch still equals the per-row path bit for bit.
+    """
+
+    @pytest.mark.parametrize(
+        "make_model",
+        [
+            lambda: RandomForestClassifier(n_estimators=10, max_depth=6, seed=0),
+            lambda: xgboost_like(n_estimators=5),
+        ],
+        ids=["forest", "gbdt"],
+    )
+    def test_batch_spanning_chunks_matches_per_row_bitwise(self, make_model):
+        gen = np.random.default_rng(7)
+        X_train = gen.normal(size=(400, 6))
+        y = (X_train[:, 0] + X_train[:, 1] * X_train[:, 2] > 0).astype(int)
+        model = make_model().fit(X_train, y)
+        kernel = model.flat_forest_.bitvectors
+        assert kernel is not None
+        explainer = KernelShapExplainer(
+            model.predict_proba, X_train[:32], n_coalitions=64, seed=0
+        )
+        X = gen.normal(size=(5, 6))
+        stacked_rows = len(X) * (2**6 - 2) * 32  # every coalition enumerated
+        assert stacked_rows > 2 * kernel.chunk_rows
+        batch = explainer.shap_values_batch_exact(X)
+        singles = np.stack([explainer.shap_values(x) for x in X])
+        assert np.array_equal(batch, singles)
