@@ -188,10 +188,13 @@ class _SeriesState:
         self._base_bad = 0.0
         self._base_total = 0.0
 
-    def observe(self, stat: WindowStat, bad: float, total: float) -> None:
+    def observe(
+        self, stat: WindowStat, end: float, bad: float, total: float
+    ) -> None:
+        """Account one window; ``end`` is its ``window_end``."""
         self.ledger.debit(bad, total)
         self.history.append((stat, bad, total))
-        self._ends.append(stat.window_end)
+        self._ends.append(end)
         self._cum_bad.append(
             (self._cum_bad[-1] if self._cum_bad else self._base_bad) + bad
         )
@@ -199,10 +202,11 @@ class _SeriesState:
             (self._cum_total[-1] if self._cum_total else self._base_total)
             + total
         )
-        cutoff = stat.window_end - self.horizon
-        while self.history and self.history[0][0].window_end <= cutoff:
+        cutoff = end - self.horizon
+        drop = 0
+        while drop < len(self._ends) and self._ends[drop] <= cutoff:
             self.history.popleft()
-        drop = len(self._ends) - len(self.history)
+            drop += 1
         if drop:
             self._base_bad = self._cum_bad[drop - 1]
             self._base_total = self._cum_total[drop - 1]
@@ -331,8 +335,9 @@ class SLOEvaluator:
         bindings = self._bindings.get(stat.source)
         if bindings is None:
             bindings = self._bind(stat.source)
+        end = stat.window_start + stat.window_seconds
         for binding in bindings:
-            self._observe_binding(binding, stat)
+            self._observe_binding(binding, stat, end)
 
     def _bind(self, source: str) -> Tuple[_Binding, ...]:
         bound = []
@@ -349,13 +354,14 @@ class SLOEvaluator:
         self._bindings[source] = bindings
         return bindings
 
-    def _observe_binding(self, binding: _Binding, stat: WindowStat) -> None:
+    def _observe_binding(
+        self, binding: _Binding, stat: WindowStat, now: float
+    ) -> None:
         definition = binding.definition
         state = binding.state
         target = definition.target
-        state.observe(stat, definition.bad_fraction(stat) * stat.count,
+        state.observe(stat, now, definition.bad_fraction(stat) * stat.count,
                       float(stat.count))
-        now = stat.window_end
         burn_rate = state.burn_rate
         for rule_state in binding.rules:
             rule = rule_state.rule

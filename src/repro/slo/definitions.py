@@ -134,26 +134,27 @@ def fraction_beyond(stat: WindowStat, threshold: float, direction: str) -> float
         raise ValueError("direction must be 'above' or 'below'")
     if stat.count == 0:
         return 0.0
-    knots: List[Tuple[float, float]] = [
-        (stat.min, 0.0),
-        (stat.p50, 0.5),
-        (stat.p95, 0.95),
-        (stat.max, 1.0),
-    ]
-    if threshold <= knots[0][0]:
+    low, p50, p95, high = stat.min, stat.p50, stat.p95, stat.max
+    if threshold <= low:
         cdf = 0.0
-    elif threshold >= knots[-1][0]:
+    elif threshold >= high:
         cdf = 1.0
-    else:
+    elif threshold <= p50:
+        cdf = _ramp(threshold, low, 0.0, p50, 0.5)
+    elif threshold <= p95:
+        cdf = _ramp(threshold, p50, 0.5, p95, 0.95)
+    elif threshold <= high:
+        cdf = _ramp(threshold, p95, 0.95, high, 1.0)
+    else:  # a NaN threshold or profile
         cdf = 1.0
-        for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
-            if threshold <= x1:
-                if x1 == x0:
-                    cdf = y1
-                else:
-                    cdf = y0 + (y1 - y0) * (threshold - x0) / (x1 - x0)
-                break
     return 1.0 - cdf if direction == "above" else cdf
+
+
+def _ramp(threshold: float, x0: float, y0: float, x1: float, y1: float) -> float:
+    """The CDF on the knot segment ``(x0, y0)``–``(x1, y1)`` at ``threshold``."""
+    if x1 == x0:
+        return y1
+    return y0 + (y1 - y0) * (threshold - x0) / (x1 - x0)
 
 
 @dataclass(frozen=True)

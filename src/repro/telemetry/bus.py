@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Union
 
 from repro.telemetry.events import TelemetryEvent
@@ -52,7 +53,10 @@ class Subscription:
     Created via :meth:`TelemetryBus.subscribe`; not instantiated directly.
     Events accumulate in the queue at publish time and are handed to the
     consumer by :meth:`poll` (pull style) or by the optional ``callback``
-    when the bus is pumped (push style).
+    when the bus is pumped (push style).  An event counts as delivered
+    once its callback has returned (or, without a callback, once
+    :meth:`poll` has handed it out), so ``enqueued - dropped ==
+    delivered + backlog`` holds even after a callback raised.
     """
 
     def __init__(
@@ -87,9 +91,10 @@ class Subscription:
 
         Returns ``True`` if the event was enqueued, ``False`` if dropped.
         """
-        if len(self._queue) >= self.capacity:
+        queue = self._queue
+        if len(queue) >= self.capacity:
             if self.policy == "drop_oldest":
-                self._queue.popleft()
+                queue.popleft()
                 self.dropped += 1
             elif self.policy == "drop_newest":
                 self.dropped += 1
@@ -99,24 +104,42 @@ class Subscription:
                     f"subscription {self.name!r} queue full "
                     f"({self.capacity} events) and policy is 'error'"
                 )
-        self._queue.append(event)
+        queue.append(event)
         self.enqueued += 1
         return True
 
-    def poll(self, max_events: Optional[int] = None) -> List[TelemetryEvent]:
+    def poll(self, max_events: Optional[int] = None) -> Deque[TelemetryEvent]:
         """Drain up to ``max_events`` (all, when ``None``) from the queue.
 
         Invokes the subscription callback per event when one is set; the
-        returned list is the same batch either way.
+        returned batch is the same either way.  A full drain swaps the
+        queue out whole, so the batch is the old queue itself.
+
+        If the callback raises, the failing event and every event after
+        it go back to the front of the queue, ahead of anything published
+        meanwhile, and the exception propagates: only the events whose
+        callback returned count as delivered.
         """
-        budget = len(self._queue) if max_events is None else max_events
-        batch: List[TelemetryEvent] = []
-        while self._queue and len(batch) < budget:
-            batch.append(self._queue.popleft())
+        queue = self._queue
+        if max_events is None or max_events >= len(queue):
+            self._queue = deque()
+            batch = queue
+        else:
+            batch = deque(queue.popleft() for __ in range(max_events))
+        callback = self.callback
+        if callback is not None:
+            done = 0
+            try:
+                for event in batch:
+                    callback(event)
+                    done += 1
+            except BaseException:
+                undelivered = deque(islice(batch, done, None))
+                undelivered.extend(self._queue)
+                self._queue = undelivered
+                self.delivered += done
+                raise
         self.delivered += len(batch)
-        if self.callback is not None:
-            for event in batch:
-                self.callback(event)
         return batch
 
     @property
@@ -185,7 +208,9 @@ class TelemetryBus:
         Never blocks: each subscription admits or drops per its policy.
         Returns the number of queues the event landed in.
         """
-        counters = self._topic_counters.setdefault(topic, TopicCounters())
+        counters = self._topic_counters.get(topic)
+        if counters is None:
+            counters = self._topic_counters[topic] = TopicCounters()
         counters.published += 1
         landed = 0
         for subscription in self._subscriptions.values():

@@ -117,6 +117,8 @@ class TelemetryPipeline:
     def publish(self, topic: str, event: TelemetryEvent) -> int:
         """Producer entry point; see :meth:`TelemetryBus.publish`."""
         if not self._started:
+            if self._closed:
+                raise RuntimeError("pipeline is closed")
             raise RuntimeError("pipeline not started (call start())")
         landed = self.bus.publish(topic, event)
         self._published_since_pump += 1

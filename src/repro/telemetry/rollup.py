@@ -8,10 +8,25 @@ bounded number of finalised windows, so hot memory stays O(sources ×
 levels × retention) no matter how long the stream runs.
 
 count/mean/min/max combine exactly across the cascade.  Percentiles do
-not: level 0 computes p50/p95 from raw values (``numpy.percentile``);
+not: level 0 computes p50/p95 exactly from the window's raw values;
 higher levels estimate them as the count-weighted mean of their children's
 percentiles — a standard downsampling compromise, flagged via
 ``WindowStat.exact_percentiles``.
+
+Level-0 statistics are numpy's — ``ndarray.mean`` and the default
+``linear`` method of ``numpy.percentile`` over the values as float64 —
+computed at a few microseconds per window.  The mean is
+``np.add.reduce`` of the values divided by their count, which is what
+``ndarray.mean`` computes (numpy's pairwise summation, in arrival order).
+min/max/p50/p95 come from one ``sorted()`` of the values, with numpy's
+percentile interpolation replayed operation for operation in Python
+floats (:func:`_percentile`).  A window holding a NaN reports NaN for all
+five, as numpy does (which NaN bits is left open: numpy's own min and max
+return the data's NaN or a fresh one depending on where it sits).  The
+results are bitwise equal to numpy's with one exception: when a window
+holds both -0.0 and +0.0 and the min, max, p50 or p95 is a zero, its sign
+may differ from numpy's, because numpy's partition does not fix the order
+of equal zeros.  The two still compare equal.
 """
 
 from __future__ import annotations
@@ -76,14 +91,59 @@ def merge_window_stats(
     )
 
 
-class _OpenWindow:
-    """Accumulating state for one (source, window) bucket."""
+#: ``numpy.percentile``'s ``q / 100`` for the two recorded percentiles.
+_P50 = 50 / 100
+_P95 = 95 / 100
 
-    __slots__ = ("values", "children")
 
-    def __init__(self) -> None:
-        self.values: List[float] = []  # level 0: raw event values
-        self.children: List[WindowStat] = []  # level > 0: finalised children
+def _percentile(ordered: List[float], q: float) -> float:
+    """numpy's ``linear`` percentile of sorted, NaN-free values.
+
+    The steps of ``numpy.percentile`` for one scalar ``q``: the virtual
+    index is ``(n - 1) * q``; an index at or past the last element (a
+    one-value window) reads the last element with gamma ``index + 1``,
+    as numpy's bounds fix-up does, so a lone ``inf`` gives NaN there
+    too; the two neighbours are then interpolated by numpy's ``_lerp``.
+    """
+    last = len(ordered) - 1
+    index = last * q
+    if index >= last:
+        below = above = last
+        gamma = index + 1
+    else:
+        below = floor(index)
+        above = below + 1
+        gamma = index - below
+    a = float(ordered[below])
+    b = float(ordered[above])
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1 - gamma)
+    return a + diff * gamma
+
+
+def _level0_stat(
+    source: str, start: float, size: float, values: List[float]
+) -> WindowStat:
+    """Exact statistics of one level-0 window's raw values."""
+    count = len(values)
+    mean = float(np.add.reduce(np.asarray(values, dtype=np.float64))) / count
+    if mean != mean and any(v != v for v in values):
+        # a NaN poisons every statistic, as in numpy (a NaN mean alone
+        # may also come from +inf and -inf, which leave the others alone)
+        return WindowStat(source, start, size, count, mean, mean, mean, mean, mean)
+    ordered = sorted(values)
+    return WindowStat(
+        source=source,
+        window_start=start,
+        window_seconds=size,
+        count=count,
+        mean=mean,
+        min=float(ordered[0]),
+        max=float(ordered[-1]),
+        p50=_percentile(ordered, _P50),
+        p95=_percentile(ordered, _P95),
+    )
 
 
 class TumblingWindowAggregator:
@@ -134,11 +194,10 @@ class TumblingWindowAggregator:
         self.ingested = 0
         self.late_events = 0
         self._horizon_bucket = -inf  # last level-0 bucket finalisation ran at
-        # per level: open buckets keyed (source, window_start) and
+        # per level: open buckets keyed (source, window_start) — raw
+        # event values at level 0, finalised child windows above — and
         # finalised deques keyed source
-        self._open: List[Dict[Tuple[str, float], _OpenWindow]] = [
-            {} for __ in sizes
-        ]
+        self._open: List[Dict[Tuple[str, float], list]] = [{} for __ in sizes]
         self._closed: List[Dict[str, Deque[WindowStat]]] = [{} for __ in sizes]
         #: level -> callbacks fired once per finalised window.  Empty for
         #: an unsubscribed aggregator, so the hot ingest path never pays
@@ -174,20 +233,26 @@ class TumblingWindowAggregator:
 
     def ingest(self, event: TelemetryEvent) -> None:
         """Bucket one event; advances the watermark and finalises windows."""
-        start = self._window_start(event.timestamp, 0)
-        if start + self.window_sizes[0] + self.allowed_lateness <= self.watermark:
+        timestamp = event.timestamp
+        size = self.window_sizes[0]
+        start = floor(timestamp / size) * size
+        if start + size + self.allowed_lateness <= self.watermark:
             self.late_events += 1
             return
-        bucket = self._open[0].setdefault((event.source, start), _OpenWindow())
-        bucket.values.append(event.value)
+        key = (event.source, start)
+        values = self._open[0].get(key)
+        if values is None:
+            self._open[0][key] = [event.value]
+        else:
+            values.append(event.value)
         self.ingested += 1
-        if event.timestamp > self.watermark:
-            self.watermark = event.timestamp
+        if timestamp > self.watermark:
+            self.watermark = timestamp
             # window ends all fall on level-0 boundaries, so ripeness can
             # only change when the horizon crosses one — skip the open-
             # window scan otherwise (hot-path win at high event rates)
-            horizon = self.watermark - self.allowed_lateness
-            bucket = floor(horizon / self.window_sizes[0])
+            horizon = timestamp - self.allowed_lateness
+            bucket = floor(horizon / size)
             if bucket != self._horizon_bucket:
                 self._horizon_bucket = bucket
                 self._finalize_ripe(horizon)
@@ -213,20 +278,9 @@ class TumblingWindowAggregator:
         bucket = self._open[level].pop(key)
         size = self.window_sizes[level]
         if level == 0:
-            values = np.asarray(bucket.values, dtype=np.float64)
-            stat = WindowStat(
-                source=source,
-                window_start=start,
-                window_seconds=size,
-                count=values.size,
-                mean=float(values.mean()),
-                min=float(values.min()),
-                max=float(values.max()),
-                p50=float(np.percentile(values, 50)),
-                p95=float(np.percentile(values, 95)),
-            )
+            stat = _level0_stat(source, start, size, bucket)
         else:
-            stat = merge_window_stats(bucket.children, start, size)
+            stat = merge_window_stats(bucket, start, size)
         series = self._closed[level].setdefault(
             source, deque(maxlen=self.retention)
         )
@@ -236,10 +290,9 @@ class TumblingWindowAggregator:
                 hook(stat)
         if level + 1 < len(self.window_sizes):
             parent_start = self._window_start(start, level + 1)
-            parent = self._open[level + 1].setdefault(
-                (source, parent_start), _OpenWindow()
+            self._open[level + 1].setdefault((source, parent_start), []).append(
+                stat
             )
-            parent.children.append(stat)
 
     def flush(self) -> None:
         """Finalise everything still open (end of stream / clean shutdown)."""

@@ -9,6 +9,18 @@ so every record is independently verifiable.  Segments rotate at a size
 threshold, which bounds the cost of tail recovery and lets retention/
 archival operate on whole files.
 
+The canonical event JSON is ``json.dumps(event.to_json_dict(),
+sort_keys=True, separators=(",", ":"))``, ASCII-only.  The writer builds
+those bytes without a per-event ``json.dumps``: the six keys always sort
+as ``attrs, kind, labels, source, timestamp, value``, so it fills that
+fixed envelope, writing finite floats with ``float.__repr__`` and strings
+with ``json``'s ASCII string encoder (both what the encoder itself
+calls), and hands everything else — non-empty ``attrs``/``labels``,
+non-finite floats, ints, bools, float subclasses, other types — to one
+module-level ``json.JSONEncoder`` with the same settings.  Each record
+is encoded once; the CRC runs over the payload bytes and the line goes
+to a binary handle.
+
 Crash story: a process killed mid-write leaves at most a truncated (or
 garbled) final line in the *last* segment.  :meth:`WriteAheadLog.open`
 scans that tail and truncates it away; :func:`replay` streams every intact
@@ -24,6 +36,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from math import inf
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.telemetry.events import TelemetryEvent
@@ -36,14 +49,38 @@ class WalCorruptionError(RuntimeError):
     """A record failed its checksum somewhere replay cannot self-heal."""
 
 
-def _canonical(payload: Dict[str, object]) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+#: The canonical encoder; its ``encode`` equals ``json.dumps`` with the
+#: same arguments, without building an encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_canonical = _ENCODER.encode
+_encode_str = json.encoder.encode_basestring_ascii
 
 
-def _encode(event: TelemetryEvent) -> str:
-    payload = _canonical(event.to_json_dict())
-    crc = zlib.crc32(payload.encode("utf-8"))
-    return f'{{"crc": {crc}, "event": {payload}}}\n'
+def _scalar(value: object) -> str:
+    """``_canonical(value)`` for one envelope field."""
+    if type(value) is float and -inf < value < inf:
+        return repr(value)
+    if type(value) is str:
+        return _encode_str(value)
+    return _canonical(value)
+
+
+def _mapping(value: object) -> str:
+    """``_canonical(value)`` for ``attrs``/``labels``, usually empty."""
+    if type(value) is dict and not value:
+        return "{}"
+    return _canonical(value)
+
+
+def _encode(event: TelemetryEvent) -> bytes:
+    """One WAL line: ``_canonical(event.to_json_dict())`` plus its CRC."""
+    payload = (
+        f'{{"attrs":{_mapping(event.attrs)},"kind":{_scalar(event.kind)},'
+        f'"labels":{_mapping(event.labels)},"source":{_scalar(event.source)},'
+        f'"timestamp":{_scalar(event.timestamp)},'
+        f'"value":{_scalar(event.value)}}}'
+    ).encode()
+    return b'{"crc": %d, "event": %b}\n' % (zlib.crc32(payload), payload)
 
 
 def _decode(line: str) -> Optional[TelemetryEvent]:
@@ -133,7 +170,7 @@ class WriteAheadLog:
             self._segment_index += 1
             self._open_segment()
         else:
-            self._handle = open(tail, "a", encoding="utf-8")
+            self._handle = open(tail, "ab")
 
     def _truncate_damaged_tail(self, path: str) -> int:
         """Drop trailing damaged lines from a segment; return how many."""
@@ -152,7 +189,7 @@ class WriteAheadLog:
         if self._handle is not None:
             self._handle.close()
         path = os.path.join(self.directory, _segment_name(self._segment_index))
-        self._handle = open(path, "a", encoding="utf-8")
+        self._handle = open(path, "ab")
         self._segment_bytes = os.path.getsize(path)
 
     # -- writing ----------------------------------------------------------------
@@ -163,7 +200,7 @@ class WriteAheadLog:
             raise RuntimeError("WAL is closed")
         line = _encode(event)
         self._handle.write(line)
-        self._segment_bytes += len(line.encode("utf-8"))
+        self._segment_bytes += len(line)
         self.appended += 1
         if self._segment_bytes >= self.max_segment_bytes:
             self._segment_index += 1

@@ -135,6 +135,69 @@ class TestDelivery:
         assert len(sub.poll(max_events=2)) == 2
         assert sub.backlog == 3
 
+    def test_failing_callback_keeps_the_rest_of_the_batch(self, bus):
+        """A raising callback loses nothing on a lossless subscription:
+        the failing event and those after it stay queued, ahead of any
+        event published meanwhile, and only returned callbacks count."""
+        seen = []
+        broken = {1.0}
+
+        def sink(event):
+            if event.timestamp in broken:
+                raise OSError("disk full")
+            seen.append(event.timestamp)
+
+        sub = bus.subscribe("audit", topics="t", policy="error", callback=sink)
+        for i in range(4):
+            bus.publish("t", make_event(i))
+        with pytest.raises(OSError):
+            bus.pump()
+        assert seen == [0.0]
+        assert sub.counters() == {
+            "enqueued": 4, "delivered": 1, "dropped": 0, "backlog": 3,
+        }
+        bus.publish("t", make_event(4))
+        broken.clear()
+        assert bus.pump() == 4
+        assert seen == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert sub.enqueued - sub.dropped == sub.delivered + sub.backlog
+
+    def test_failing_callback_under_max_events(self, bus):
+        seen = []
+
+        def sink(event):
+            if event.timestamp == 2.0 and not seen[2:]:
+                seen.append("failed")
+                raise ValueError("bad event")
+            seen.append(event.timestamp)
+
+        sub = bus.subscribe("cb", topics="t", callback=sink)
+        for i in range(5):
+            bus.publish("t", make_event(i))
+        with pytest.raises(ValueError):
+            sub.poll(max_events=3)
+        assert sub.delivered == 2 and sub.backlog == 3
+        assert [e.timestamp for e in sub.poll()] == [2.0, 3.0, 4.0]
+        assert seen == [0.0, 1.0, "failed", 2.0, 3.0, 4.0]
+        assert sub.delivered == 5 and sub.backlog == 0
+
+    def test_callback_publishing_to_its_own_topic(self, bus):
+        """Events a callback publishes wait for the next drain."""
+        seen = []
+
+        def echo(event):
+            seen.append(event.timestamp)
+            if event.timestamp < 10.0:
+                bus.publish("t", make_event(event.timestamp + 10.0))
+
+        bus.subscribe("echo", topics="t", callback=echo)
+        bus.publish("t", make_event(0))
+        bus.publish("t", make_event(1))
+        assert bus.pump() == 2
+        assert seen == [0.0, 1.0]
+        assert bus.pump() == 2
+        assert seen == [0.0, 1.0, 10.0, 11.0]
+
 
 class TestCounters:
     def test_topic_and_subscription_stats(self, bus):

@@ -32,6 +32,12 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             pipe.start()
 
+    def test_publish_after_close_says_closed(self, tmp_path):
+        pipe = TelemetryPipeline(wal_dir=tmp_path / "wal").start()
+        pipe.close()
+        with pytest.raises(RuntimeError, match="pipeline is closed"):
+            pipe.publish("t", make_event(0))
+
     def test_context_manager_flushes_to_wal(self, tmp_path):
         with TelemetryPipeline(wal_dir=tmp_path / "wal") as pipe:
             for i in range(5):

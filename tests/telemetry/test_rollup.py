@@ -1,7 +1,12 @@
 """Tests for tumbling-window rollups and cascading downsampling."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry import TelemetryEvent, TumblingWindowAggregator
 
@@ -156,3 +161,102 @@ class TestQueriesAndStats:
         assert snapshot["open_windows"] >= 1
         agg.flush()
         assert agg.stats()["open_windows"] == 0
+
+
+# -- level-0 statistics against numpy -------------------------------------
+
+
+def numpy_window(values):
+    """The reference level-0 statistics: numpy over the float64 values."""
+    arr = np.asarray(values, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        return {
+            "mean": float(arr.mean()),
+            "min": float(arr.min()),
+            "max": float(arr.max()),
+            "p50": float(np.percentile(arr, 50)),
+            "p95": float(np.percentile(arr, 95)),
+        }
+
+
+def level0_window(values):
+    agg = TumblingWindowAggregator(window_seconds=1.0, cascades=())
+    n = len(values)
+    agg.ingest_many(
+        [
+            TelemetryEvent(source="s", value=v, timestamp=i / n)
+            for i, v in enumerate(values)
+        ]
+    )
+    agg.flush()
+    (window,) = agg.windows(source="s")
+    return window
+
+
+def bits(x):
+    return "nan" if x != x else struct.pack("<d", x)
+
+
+def has_signed_zero(values, sign):
+    return any(v == 0 and math.copysign(1.0, v) == sign for v in values)
+
+
+def assert_matches_numpy(values):
+    window = level0_window(values)
+    expected = numpy_window(values)
+    assert window.count == len(values)
+    assert window.exact_percentiles
+    # numpy's select leaves the order of equal zeros open, so with both
+    # -0.0 and +0.0 in the window a zero statistic's sign may differ
+    both_zeros = has_signed_zero(values, -1.0) and has_signed_zero(values, 1.0)
+    for field, want in expected.items():
+        got = getattr(window, field)
+        assert type(got) is float, field
+        if both_zeros and field != "mean" and got == 0 and want == 0:
+            continue
+        assert bits(got) == bits(want), (field, got, want)
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+SCALARS = st.one_of(
+    FLOATS,
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]),
+    st.integers(-(2**63), 2**63 - 1),
+    st.booleans(),
+)
+
+
+class TestLevelZeroMatchesNumpy:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(SCALARS, min_size=1, max_size=40))
+    @example(values=[1, 2, 3])  # ints only
+    @example(values=[2**62, 2**62, 2**62, 1])  # summed as float64, not int64
+    @example(values=[True, False, True])  # bools only
+    @example(values=[math.inf])  # numpy's lerp turns a lone inf into NaN
+    @example(values=[-math.inf, math.inf])
+    @example(values=[0.0, -0.0, 0.0])
+    @example(values=[1.0, math.nan, 2.0])
+    @example(values=[2**53 + 1, 2.0**53, 1.5])
+    def test_small_windows(self, values):
+        assert_matches_numpy(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.one_of(
+            st.sampled_from([1, 7, 8, 9, 128, 129, 8193]),
+            st.integers(1, 600),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-310, 1e-3, 1.0, 250.0, 1e300]),
+        specials=st.lists(SCALARS, max_size=6),
+    )
+    @example(size=8193, seed=1, scale=1e300, specials=[])
+    @example(size=129, seed=2, scale=1.0, specials=[math.nan])
+    def test_pairwise_sum_sizes(self, size, seed, scale, specials):
+        """Sizes across numpy's pairwise-sum branches (< 8, one 128-block,
+        recursion, more than one 8,192-element buffer)."""
+        rng = np.random.default_rng(seed)
+        values = (rng.lognormal(0.0, 2.0, size) * scale).tolist()
+        for position, value in zip(rng.integers(0, size, len(specials)), specials):
+            values[position] = value
+        assert_matches_numpy(values)

@@ -1,8 +1,15 @@
 """Tests for the write-ahead log: durability, rotation, recovery."""
 
+import json
+import math
 import os
+import tempfile
+import zlib
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry import (
     TelemetryEvent,
@@ -150,3 +157,103 @@ class TestLifecycle:
     def test_invalid_segment_size_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             WriteAheadLog(tmp_path / "wal", max_segment_bytes=0)
+
+
+# -- byte identity with the json.dumps writer -----------------------------
+
+
+def dumps_line(event):
+    """A WAL line as the ``json.dumps`` writer produced it (the oracle)."""
+    payload = json.dumps(
+        event.to_json_dict(), sort_keys=True, separators=(",", ":")
+    )
+    crc = zlib.crc32(payload.encode("utf-8"))
+    return f'{{"crc": {crc}, "event": {payload}}}\n'.encode("utf-8")
+
+
+def dumps_segments(events, max_segment_bytes):
+    """Segment contents under the same rotation rule, from oracle lines."""
+    segments, current = [], b""
+    for event in events:
+        current += dumps_line(event)
+        if len(current) >= max_segment_bytes:
+            segments.append(current)
+            current = b""
+    segments.append(current)  # the segment opened after the last rotation
+    return segments
+
+
+def written_segments(events, max_segment_bytes):
+    with tempfile.TemporaryDirectory() as directory:
+        with WriteAheadLog(directory, max_segment_bytes=max_segment_bytes) as wal:
+            for event in events:
+                wal.append(event)
+        segments = []
+        for path in wal.segments:
+            with open(path, "rb") as fh:
+                segments.append(fh.read())
+        return segments
+
+
+TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u2028\ud83d\u00e9\u4e2d\U0001f600'),
+        st.characters(),
+    ),
+    max_size=12,
+)
+NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
+    st.floats().map(np.float64),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+)
+EVENTS = st.builds(
+    TelemetryEvent,
+    source=TEXT,
+    value=NUMBERS,
+    timestamp=NUMBERS,
+    kind=TEXT,
+    # None is no valid mapping, but json.dumps wrote it as null
+    attrs=st.one_of(st.dictionaries(TEXT, NUMBERS, max_size=3), st.none()),
+    labels=st.one_of(st.dictionaries(TEXT, TEXT, max_size=3), st.none()),
+)
+
+
+class TestJsonDumpsIdentity:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        events=st.lists(EVENTS, min_size=1, max_size=6),
+        max_segment_bytes=st.integers(1, 800),
+    )
+    @example(events=make_events(30), max_segment_bytes=500)
+    def test_segments_equal_the_json_dumps_writer(self, events, max_segment_bytes):
+        """Every line, and every rotation offset, is what ``json.dumps``
+        wrote; every event also replays."""
+        assert written_segments(events, max_segment_bytes) == dumps_segments(
+            events, max_segment_bytes
+        )
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            TelemetryEvent(source="s", value=object(), timestamp=0.0),
+            TelemetryEvent(source="s", value=1.0, timestamp=np.int64(3)),
+            TelemetryEvent(source=b"s", value=1.0, timestamp=0.0),
+            TelemetryEvent(source="s", value=1.0, timestamp=0.0, attrs={"k": {1.0}}),
+            TelemetryEvent(source="s", value=1.0, timestamp=0.0, attrs={1: 1.0, "a": 2.0}),
+            TelemetryEvent(source="s", value=1.0, timestamp=0.0, labels={"k": b"v"}),
+        ],
+    )
+    def test_unserialisable_event_raises_type_error(self, tmp_path, event):
+        with pytest.raises(TypeError):
+            dumps_line(event)
+        good = make_events(1)[0]
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            with pytest.raises(TypeError):
+                wal.append(event)
+            wal.append(good)
+            assert wal.appended == 1
+        with open(wal.segments[0], "rb") as fh:
+            assert fh.read() == dumps_line(good)
