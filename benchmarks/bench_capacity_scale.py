@@ -6,7 +6,7 @@ This bench gates the million-request capacity runner's four contracts:
   :class:`~repro.gateway.capacity.CapacityRunner` must beat the seed
   record path by ``CAPACITY_SPEEDUP_FLOOR``.  The baseline is the
   preserved seed implementation
-  (:class:`~repro.gateway._reference.ReferenceLoadGenerator` — closure
+  (:class:`~benchmarks.reference_loadgen.ReferenceLoadGenerator` — closure
   chains, per-request record retention, re-filtering summary), mirroring
   how ``bench_inference.py`` measures against the pre-vectorization SHAP
   loop;
@@ -21,8 +21,9 @@ This bench gates the million-request capacity runner's four contracts:
   length) while still publishing telemetry summaries and trace-linked
   latency exemplars.
 
-``python benchmarks/bench_capacity_scale.py`` writes the measured
-numbers to ``BENCH_capacity.json`` as the committed baseline.
+``PYTHONPATH=src python -m benchmarks.bench_capacity_scale``, run from
+the repository root, writes the measured numbers to
+``BENCH_capacity.json`` as the committed baseline.
 """
 
 import gc
@@ -33,11 +34,12 @@ from pathlib import Path
 import pytest
 
 from repro.gateway import ThreadGroup, build_paper_deployment
-from repro.gateway._reference import ReferenceLoadGenerator
 from repro.gateway.arrivals import PoissonArrivalGroup
 from repro.gateway.capacity import CapacityRunner, summary_from_log
 from repro.telemetry import KIND_LOAD_SUMMARY, KIND_RESPONSE, TelemetryBus
 from repro.tracing import TraceCollector, Tracer
+
+from benchmarks.reference_loadgen import ReferenceLoadGenerator
 
 #: Floors/ceilings the committed baseline and live measurements must
 #: clear.  Measured values carry real headroom (replay speedup lands

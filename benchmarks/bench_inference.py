@@ -16,9 +16,9 @@ shows the ``xai.shap`` span's critical-path share shrinking inside a
 traced explain request, and times the bitvector leaf kernel against the
 level-synchronous traversal on the serving fixture's forest, the
 use-case-2 boosted models and a forest with over 255 thresholds on one
-feature (reported, not gated).  ``python benchmarks/bench_inference.py``
-writes the measured numbers to ``BENCH_inference.json`` as the committed
-baseline.
+feature (reported, not gated).  ``PYTHONPATH=src python -m
+benchmarks.bench_inference``, run from the repository root, writes the
+measured numbers to ``BENCH_inference.json`` as the committed baseline.
 """
 
 import dataclasses
@@ -33,8 +33,9 @@ from repro.gateway import LoadGenerator, ThreadGroup, build_paper_deployment
 from repro.ml import StandardScaler, lightgbm_like, train_test_split, xgboost_like
 from repro.ml.forest import RandomForestClassifier
 from repro.tracing import TraceCollector, Tracer, critical_path
-from repro.xai._reference import loop_shap_values
 from repro.xai.shap import KernelShapExplainer
+
+from tests.xai.reference_shap import loop_shap_values
 
 import pytest
 

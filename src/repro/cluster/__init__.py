@@ -41,13 +41,7 @@ from repro.cluster.faults import (
     FaultEvent,
     FaultPlan,
 )
-from repro.cluster.node import (
-    NODE_DOWN,
-    NODE_DRAINING,
-    NODE_UP,
-    ClusterNode,
-    NodeService,
-)
+from repro.cluster.node import NODE_DOWN, NODE_DRAINING, NODE_UP, ClusterNode
 from repro.cluster.ring import ConsistentHashRing, stable_hash64
 from repro.cluster.runner import ClusterRunner, node_source
 from repro.cluster.topology import (
@@ -75,7 +69,6 @@ __all__ = [
     "NODE_DOWN",
     "NODE_DRAINING",
     "NODE_UP",
-    "NodeService",
     "RouteSpec",
     "ScalingDecision",
     "node_source",

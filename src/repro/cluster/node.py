@@ -1,19 +1,19 @@
-"""Cluster nodes: per-node service stations with crash-safe completions.
+"""Cluster nodes: a bundle of per-route stations plus a lifecycle.
 
-A :class:`ClusterNode` is one simulated gateway/service host.  It owns a
-:class:`NodeService` per route — the columnar M/G/c station of
-:class:`~repro.gateway.services.MicroService`, re-derived here with the
-one capability that class cannot absorb: **a node can die with work in
-flight**.
+A :class:`ClusterNode` is one simulated gateway/service host.  It owns one
+:class:`~repro.gateway.services.MicroService` per route — the same
+columnar M/G/c station a single-node deployment runs, bound to this node
+so its typed errors and telemetry sources name it.  What a cluster adds
+is that **a node can die with work in flight**: the station's fault
+surface (``crash``, ``set_slow``) is driven from here.
 
 Crash safety hinges on *epoch tokens*.  Every in-service completion is
-scheduled on the shared event heap as ``(epoch << 32) | row``; a crash
-bumps the service epoch, so completions scheduled before the crash
-arrive with a stale epoch and are dropped and counted instead of
-completing a row that was already failed over (and possibly recycled)
-elsewhere.  Without the guard, a restarted ring-mode run would let a
-ghost completion from the dead node corrupt whatever request now owns
-that row slot.
+scheduled on the shared event heap carrying the station epoch; a crash
+bumps it, so completions scheduled before the crash arrive with a stale
+epoch and are dropped and counted instead of completing a row that was
+already failed over (and possibly recycled) elsewhere.  Without the
+guard, a restarted ring-mode run would let a ghost completion from the
+dead node corrupt whatever request now owns that row slot.
 
 Node states form a small machine (documented in DESIGN.md §12):
 
@@ -26,628 +26,21 @@ in-flight work finishes normally).
 
 from __future__ import annotations
 
-from collections import deque
-from heapq import heappush as _heappush
-from typing import Deque, Dict, List, Set
+from typing import Dict, List
 
-from repro.gateway.records import RecordLog
-from repro.gateway.services import SERVICE_TIME_BATCH, ServiceTimeModel
-from repro.gateway.simulation import Simulator
-from repro.serving.admission import SHED_ERROR_MESSAGE
+from repro.gateway.services import MicroService
 
 __all__ = [
     "NODE_DOWN",
     "NODE_DRAINING",
     "NODE_UP",
     "ClusterNode",
-    "NodeService",
 ]
 
 #: Node lifecycle states (see the module docstring's state machine).
 NODE_UP = "up"
 NODE_DOWN = "down"
 NODE_DRAINING = "draining"
-
-_ROW_MASK = (1 << 32) - 1
-
-
-class NodeService:
-    """One route's station on one node: c workers, FIFO queue, epoch guard.
-
-    The hot path mirrors ``MicroService.use_columnar`` — pre-sampled
-    service-time batches, direct heap pushes, queue-head-before-sink —
-    but every scheduled completion carries the service epoch so crashes
-    can invalidate outstanding work in O(1).
-    """
-
-    __slots__ = (
-        "route",
-        "node",
-        "service_time",
-        "concurrency",
-        "queue_capacity",
-        "stats",
-        "completed_rows",
-        "rejected_rows",
-        "stale_completions",
-        "_epoch",
-        "_slow",
-        "_busy",
-        "_busy_seconds",
-        "_inflight",
-        "_waiting",
-        "_log",
-        "_sim",
-        "_sink",
-        "_sim_queue",
-        "_sim_counter",
-        "_finish_cb",
-        "_st_buffers",
-        "_st_last_id",
-        "_st_last_buf",
-        "_err_queue_full",
-        "serving",
-        "shed_rows",
-        "batches_flushed",
-        "rows_batched",
-        "flushed_by_size",
-        "flushed_by_deadline",
-        "batch_size_peak",
-        "_srv_pending",
-        "_srv_epochs",
-        "_srv_queued",
-        "_srv_max_batch",
-        "_srv_window",
-        "_srv_marginal",
-        "_srv_shed_depth",
-        "_err_shed",
-        "_flush_deadline_cb",
-        "_finish_batch_cb",
-        "_pool_workers",
-        "_pool_busy",
-        "_pool_waiting",
-        "_pool_inflight",
-        "_pool_seq",
-        "_pool_busy_seconds",
-        "_pool_peak_queue",
-        "pool_batches",
-        "pool_rows",
-        "pool_crashes",
-        "pool_restarts",
-        "pool_resubmitted",
-        "pool_peak_inflight",
-        "_finish_pool_batch_cb",
-    )
-
-    def __init__(
-        self,
-        route: str,
-        node: "ClusterNode",
-        service_time: ServiceTimeModel,
-        concurrency: int,
-        queue_capacity: int = 1000,
-    ) -> None:
-        if concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
-        if queue_capacity < 0:
-            raise ValueError("queue_capacity must be >= 0")
-        self.route = route
-        self.node = node
-        self.service_time = service_time
-        self.concurrency = concurrency
-        self.queue_capacity = queue_capacity
-        #: Per-(node, route) stats bundle, attached by the runner at bind
-        #: time so the completion sink reaches it without a dict probe.
-        self.stats = None
-        self.completed_rows = 0
-        self.rejected_rows = 0
-        self.stale_completions = 0
-        self._epoch = 0
-        self._slow = 1.0
-        self._busy = 0
-        self._busy_seconds = 0.0
-        self._inflight: Set[int] = set()
-        self._waiting: Deque[int] = deque()
-        self._log: RecordLog = None  # type: ignore[assignment]
-        self._sim: Simulator = None  # type: ignore[assignment]
-        self._sink = None
-        self._sim_queue = None
-        self._sim_counter = None
-        self._finish_cb = self._finish
-        self._st_buffers: Dict[int, list] = {}
-        self._st_last_id = -1
-        self._st_last_buf: list = []
-        self._err_queue_full = 0
-        # Serving-mode bindings (configure_serving); None keeps the
-        # classic per-row path untouched.
-        self.serving = None
-        self.shed_rows = 0
-        self.batches_flushed = 0
-        self.rows_batched = 0
-        self.flushed_by_size = 0
-        self.flushed_by_deadline = 0
-        self.batch_size_peak = 0
-        self._srv_pending: Dict[int, list] = {}
-        self._srv_epochs: Dict[int, int] = {}
-        self._srv_queued = 0
-        self._srv_max_batch = 0
-        self._srv_window = 0.0
-        self._srv_marginal = 0.0
-        self._srv_shed_depth = 0
-        self._err_shed = 0
-        self._flush_deadline_cb = self._flush_deadline
-        self._finish_batch_cb = self._finish_batch
-        # Kernel-pool bindings (policy.pool_workers > 0): the cluster
-        # mirror of MicroService's pool tier, with the extra rule that a
-        # *node* crash loses pool work (failed over by the runner) while
-        # a pool-*worker* crash only resubmits it.
-        self._pool_workers = 0
-        self._pool_busy = 0
-        self._pool_waiting: Deque[list] = deque()
-        self._pool_inflight: Dict[int, tuple] = {}
-        self._pool_seq = 0
-        self._pool_busy_seconds = 0.0
-        self._pool_peak_queue = 0
-        self.pool_batches = 0
-        self.pool_rows = 0
-        self.pool_crashes = 0
-        self.pool_restarts = 0
-        self.pool_resubmitted = 0
-        self.pool_peak_inflight = 0
-        self._finish_pool_batch_cb = self._finish_pool_batch
-
-    # -- wiring --------------------------------------------------------------
-
-    def bind(self, log: RecordLog, sim: Simulator, sink) -> None:
-        """Attach the shared log/heap and the runner's completion sink.
-
-        ``sink(service, row, ok)`` runs once per finished row — the extra
-        ``service`` argument (vs the ``MicroService`` sink) is how the
-        runner learns *which node* answered, for per-node stats and for
-        partition/failover decisions.
-        """
-        self._log = log
-        self._sim = sim
-        self._sink = sink
-        self._sim_queue = sim._queue
-        self._sim_counter = sim._counter
-        self._err_queue_full = log.intern_error(
-            f"queue full at {self.node.node_id}/{self.route} (503)"
-        )
-        if self.serving is not None:
-            self._intern_shed_error()
-
-    def configure_serving(self, policy) -> None:
-        """Enable micro-batched dispatch + admission control on this station.
-
-        The cluster mirror of ``MicroService.configure_serving``: rows
-        submitted through :meth:`submit_row_serving` coalesce per
-        payload shape, flush on size or window expiry, and occupy one
-        worker for ``draw * (1 + (n-1)*batch_marginal)``.  Batch
-        completions ride the same epoch guard as row completions, so a
-        crash mid-batch drops the stale finish and the runner fails the
-        rows over.  The shed error keeps the ``503 shed`` prefix (with
-        a node/route suffix) so WAL replay and SLO attribution can
-        separate deliberate shedding from failure cluster-wide.
-        """
-        self.serving = policy
-        self._srv_pending = {}
-        self._srv_epochs = {}
-        self._srv_queued = 0
-        self._srv_max_batch = policy.max_batch
-        self._srv_window = policy.batch_window
-        self._srv_marginal = policy.batch_marginal
-        self._srv_shed_depth = policy.shed_depth
-        self._pool_workers = policy.pool_workers
-        if self._log is not None:
-            self._intern_shed_error()
-
-    def _intern_shed_error(self) -> None:
-        # SHED_ERROR_MESSAGE prefix + node/route suffix: is_shed_error()
-        # still matches, per-node attribution stays possible
-        self._err_shed = self._log.intern_error(
-            f"{SHED_ERROR_MESSAGE} at {self.node.node_id}/{self.route}"
-        )
-
-    # -- hot path ------------------------------------------------------------
-
-    def submit_row(self, row: int) -> None:
-        """Accept (or typed-reject) a columnar request at the current time."""
-        if self._busy < self.concurrency:
-            self._busy += 1
-            self._start_row(row)
-        elif len(self._waiting) < self.queue_capacity:
-            self._waiting.append(row)
-        else:
-            self.rejected_rows += 1
-            self._log.fail(row, self._err_queue_full, self._sim.now)
-            self._sink(self, row, False)
-
-    def _start_row(self, row: int) -> None:
-        log = self._log
-        now = self._sim.now
-        log.v_start[row] = now
-        self._inflight.add(row)
-        payload_id = log.v_payload_ids[row]
-        if payload_id == self._st_last_id:
-            buffer = self._st_last_buf
-        else:
-            buffer = self._st_buffers.get(payload_id)
-            if buffer is None:
-                buffer = [self.service_time.sample_batch(
-                    log.payload_name(payload_id), SERVICE_TIME_BATCH
-                ).tolist(), 0]
-                self._st_buffers[payload_id] = buffer
-            self._st_last_id = payload_id
-            self._st_last_buf = buffer
-        values, pos = buffer
-        if pos >= len(values):
-            values = self.service_time.sample_batch(
-                log.payload_name(payload_id), SERVICE_TIME_BATCH
-            ).tolist()
-            buffer[0] = values
-            pos = 0
-        buffer[1] = pos + 1
-        _heappush(
-            self._sim_queue,
-            (
-                now + values[pos] * self._slow,
-                next(self._sim_counter),
-                self._finish_cb,
-                (self._epoch << 32) | row,
-            ),
-        )
-
-    def _finish(self, token: int) -> None:
-        if (token >> 32) != self._epoch:
-            # scheduled before a crash: the row was failed over already
-            self.stale_completions += 1
-            return
-        row = token & _ROW_MASK
-        self._inflight.discard(row)
-        now = self._sim.now
-        self._busy_seconds += now - self._log.v_start[row]
-        self.completed_rows += 1
-        # freed worker takes the queue head *before* the sink runs, so a
-        # saturated station never idles across a completion
-        if self._waiting:
-            entry = self._waiting.popleft()
-            if type(entry) is list:
-                self._start_batch(entry)
-            else:
-                self._start_row(entry)
-        else:
-            self._busy -= 1
-        self._sink(self, row, True)
-
-    # -- serving mode (micro-batched) hot path -------------------------------
-
-    def submit_row_serving(self, row: int) -> None:
-        """Accept, batch, or shed a columnar request at the current time."""
-        if self._srv_shed_depth and self._srv_queued >= self._srv_shed_depth:
-            self.shed_rows += 1
-            self._log.fail(row, self._err_shed, self._sim.now)
-            self._sink(self, row, False)
-            return
-        payload_id = self._log.v_payload_ids[row]
-        pending = self._srv_pending.get(payload_id)
-        if pending is None:
-            pending = []
-            self._srv_pending[payload_id] = pending
-            self._srv_epochs[payload_id] = 0
-        pending.append(row)
-        self._srv_queued += 1
-        if len(pending) >= self._srv_max_batch:
-            self.flushed_by_size += 1
-            self._flush_payload(payload_id)
-        elif len(pending) == 1:
-            _heappush(
-                self._sim_queue,
-                (
-                    self._sim.now + self._srv_window,
-                    next(self._sim_counter),
-                    self._flush_deadline_cb,
-                    (self._srv_epochs[payload_id], payload_id),
-                ),
-            )
-
-    def _flush_deadline(self, token) -> None:
-        """Window-expiry flush; stale epochs are already-flushed groups."""
-        epoch, payload_id = token
-        if epoch != self._srv_epochs.get(payload_id, -1):
-            return
-        if self._srv_pending.get(payload_id):
-            self.flushed_by_deadline += 1
-            self._flush_payload(payload_id)
-
-    def _flush_payload(self, payload_id: int) -> None:
-        batch = self._srv_pending[payload_id]
-        self._srv_pending[payload_id] = []
-        self._srv_epochs[payload_id] += 1
-        if self._pool_workers:
-            self._dispatch_pool_batch(batch)
-            return
-        if self._busy < self.concurrency:
-            self._busy += 1
-            self._start_batch(batch)
-        elif len(self._waiting) < self.queue_capacity:
-            # a parked batch is one fused unit of work — one queue entry
-            self._waiting.append(batch)
-        else:
-            log = self._log
-            now = self._sim.now
-            code = self._err_queue_full
-            n = len(batch)
-            self.rejected_rows += n
-            self._srv_queued -= n
-            sink = self._sink
-            for row in batch:
-                log.fail(row, code, now)
-                sink(self, row, False)
-
-    def _start_batch(self, batch: list) -> None:
-        """Start one fused batch on a claimed worker (one draw, n rows)."""
-        log = self._log
-        now = self._sim.now
-        n = len(batch)
-        self._srv_queued -= n
-        inflight = self._inflight
-        for row in batch:
-            log.v_start[row] = now
-            inflight.add(row)
-        payload_id = log.v_payload_ids[batch[0]]
-        if payload_id == self._st_last_id:
-            buffer = self._st_last_buf
-        else:
-            buffer = self._st_buffers.get(payload_id)
-            if buffer is None:
-                buffer = [self.service_time.sample_batch(
-                    log.payload_name(payload_id), SERVICE_TIME_BATCH
-                ).tolist(), 0]
-                self._st_buffers[payload_id] = buffer
-            self._st_last_id = payload_id
-            self._st_last_buf = buffer
-        values, pos = buffer
-        if pos >= len(values):
-            values = self.service_time.sample_batch(
-                log.payload_name(payload_id), SERVICE_TIME_BATCH
-            ).tolist()
-            buffer[0] = values
-            pos = 0
-        buffer[1] = pos + 1
-        duration = (
-            values[pos] * self._slow * (1.0 + (n - 1) * self._srv_marginal)
-        )
-        self.batches_flushed += 1
-        self.rows_batched += n
-        if n > self.batch_size_peak:
-            self.batch_size_peak = n
-        _heappush(
-            self._sim_queue,
-            (
-                now + duration,
-                next(self._sim_counter),
-                self._finish_batch_cb,
-                (self._epoch, batch),
-            ),
-        )
-
-    def _finish_batch(self, token) -> None:
-        epoch, batch = token
-        if epoch != self._epoch:
-            # scheduled before a crash: every row was failed over already
-            self.stale_completions += len(batch)
-            return
-        now = self._sim.now
-        log = self._log
-        inflight = self._inflight
-        for row in batch:
-            inflight.discard(row)
-        # one worker held for the whole fused call
-        self._busy_seconds += now - log.v_start[batch[0]]
-        self.completed_rows += len(batch)
-        if self._waiting:
-            entry = self._waiting.popleft()
-            if type(entry) is list:
-                self._start_batch(entry)
-            else:
-                self._start_row(entry)
-        else:
-            self._busy -= 1
-        sink = self._sink
-        for row in batch:
-            sink(self, row, True)
-
-    # -- simulated kernel pool (policy.pool_workers > 0) ---------------------
-
-    def _sample_service(self, payload_id: int) -> float:
-        """One service-time draw off the pre-sampled buffers."""
-        if payload_id == self._st_last_id:
-            buffer = self._st_last_buf
-        else:
-            buffer = self._st_buffers.get(payload_id)
-            if buffer is None:
-                buffer = [self.service_time.sample_batch(
-                    self._log.payload_name(payload_id), SERVICE_TIME_BATCH
-                ).tolist(), 0]
-                self._st_buffers[payload_id] = buffer
-            self._st_last_id = payload_id
-            self._st_last_buf = buffer
-        values, pos = buffer
-        if pos >= len(values):
-            values = self.service_time.sample_batch(
-                self._log.payload_name(payload_id), SERVICE_TIME_BATCH
-            ).tolist()
-            buffer[0] = values
-            pos = 0
-        buffer[1] = pos + 1
-        return values[pos]
-
-    def _dispatch_pool_batch(self, batch: list) -> None:
-        """Route one flushed batch to the pool tier (park if saturated)."""
-        if self._pool_busy < self._pool_workers:
-            self._start_pool_batch(batch)
-        else:
-            waiting = self._pool_waiting
-            waiting.append(batch)
-            if len(waiting) > self._pool_peak_queue:
-                self._pool_peak_queue = len(waiting)
-
-    def _start_pool_batch(self, batch: list, resubmit: bool = False) -> None:
-        """Occupy one pool worker with a fused batch (one draw, n rows).
-
-        ``resubmit`` re-dispatches a crash-orphaned batch without
-        advancing the batch/row counters, so telemetry never
-        double-counts.  Dispatch ids are monotonic and never reused —
-        an orphaned completion can only miss the in-flight map, never
-        collide with a later batch.
-        """
-        log = self._log
-        now = self._sim.now
-        n = len(batch)
-        if not resubmit:
-            self._pool_busy += 1
-            self._srv_queued -= n
-            for row in batch:
-                log.v_start[row] = now
-            self.batches_flushed += 1
-            self.rows_batched += n
-            self.pool_batches += 1
-            self.pool_rows += n
-            if n > self.batch_size_peak:
-                self.batch_size_peak = n
-        inflight = len(self._pool_inflight) + 1
-        if inflight > self.pool_peak_inflight:
-            self.pool_peak_inflight = inflight
-        duration = (
-            self._sample_service(log.v_payload_ids[batch[0]])
-            * self._slow
-            * (1.0 + (n - 1) * self._srv_marginal)
-        )
-        self._pool_seq += 1
-        dispatch_id = self._pool_seq
-        self._pool_inflight[dispatch_id] = (batch, now)
-        _heappush(
-            self._sim_queue,
-            (
-                now + duration,
-                next(self._sim_counter),
-                self._finish_pool_batch_cb,
-                dispatch_id,
-            ),
-        )
-
-    def _finish_pool_batch(self, dispatch_id: int) -> None:
-        entry = self._pool_inflight.pop(dispatch_id, None)
-        if entry is None:
-            # orphaned: either a pool-worker crash resubmitted the batch
-            # under a new id, or a node crash failed its rows over —
-            # both already accounted the rows, so drop silently
-            return
-        batch, started = entry
-        now = self._sim.now
-        self._pool_busy_seconds += now - started
-        self.completed_rows += len(batch)
-        self._pool_busy -= 1
-        if self._pool_waiting and self._pool_busy < self._pool_workers:
-            self._start_pool_batch(self._pool_waiting.popleft())
-        sink = self._sink
-        for row in batch:
-            sink(self, row, True)
-
-    def crash_pool_worker(self) -> int:
-        """Kill one pool worker; returns rows re-dispatched.
-
-        The oldest in-flight batch is resubmitted onto the
-        instantly-restarted worker with a fresh draw — nothing is lost,
-        nothing double-counts, conservation holds by construction.
-        """
-        if not self._pool_workers:
-            return 0
-        self.pool_crashes += 1
-        self.pool_restarts += 1
-        if not self._pool_inflight:
-            return 0
-        dispatch_id = min(self._pool_inflight)
-        batch, _started = self._pool_inflight.pop(dispatch_id)
-        self.pool_resubmitted += len(batch)
-        self._start_pool_batch(batch, resubmit=True)
-        return len(batch)
-
-    @property
-    def pool_backlog(self) -> int:
-        """In-flight plus parked pool batches."""
-        return len(self._pool_inflight) + len(self._pool_waiting)
-
-    @property
-    def pool_busy_seconds(self) -> float:
-        return self._pool_busy_seconds
-
-    # -- fault surface -------------------------------------------------------
-
-    def crash(self) -> List[int]:
-        """Invalidate the station: return every owned row for failover.
-
-        Bumping the epoch orphans all scheduled completions (they arrive
-        stale); in-flight, queued and batch-pending rows are handed back
-        to the runner to retry on a replica or typed-fail.
-        """
-        self._epoch += 1
-        lost = list(self._inflight)
-        for entry in self._waiting:
-            if type(entry) is list:
-                lost.extend(entry)
-            else:
-                lost.append(entry)
-        # serving mode: unflushed coalescing groups die with the node;
-        # bumping each payload epoch orphans their pending window timers
-        for payload_id, pending in self._srv_pending.items():
-            if pending:
-                lost.extend(pending)
-                self._srv_pending[payload_id] = []
-            self._srv_epochs[payload_id] += 1
-        self._srv_queued = 0
-        # pool tier: in-flight and parked pool batches die with the node
-        # (their orphaned completions find their dispatch ids gone)
-        for batch, _started in self._pool_inflight.values():
-            lost.extend(batch)
-        for batch in self._pool_waiting:
-            lost.extend(batch)
-        self._pool_inflight.clear()
-        self._pool_waiting.clear()
-        self._pool_busy = 0
-        self._inflight.clear()
-        self._waiting.clear()
-        self._busy = 0
-        return lost
-
-    def set_slow(self, factor: float) -> None:
-        """Degrade (or restore, with 1.0) the station's service times."""
-        if factor <= 0:
-            raise ValueError("slow factor must be positive")
-        self._slow = factor
-
-    # -- introspection -------------------------------------------------------
-
-    @property
-    def busy_workers(self) -> int:
-        return self._busy
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
-
-    @property
-    def inflight_rows(self) -> int:
-        return len(self._inflight)
-
-    @property
-    def busy_seconds(self) -> float:
-        return self._busy_seconds
-
-    @property
-    def epoch(self) -> int:
-        return self._epoch
 
 
 class ClusterNode:
@@ -673,7 +66,7 @@ class ClusterNode:
 
     def __init__(self, node_id: str) -> None:
         self.node_id = node_id
-        self.services: Dict[str, NodeService] = {}
+        self.services: Dict[str, MicroService] = {}
         self.state = NODE_UP
         self.reachable = True
         self.serving = True
@@ -683,12 +76,14 @@ class ClusterNode:
         self.partitions = 0
         self.heals = 0
 
-    def add_service(self, service: NodeService) -> None:
-        if service.route in self.services:
+    def add_service(self, service: MicroService) -> None:
+        """Host a route's station; binds the station to this node."""
+        if service.name in self.services:
             raise ValueError(
-                f"node {self.node_id} already hosts route {service.route!r}"
+                f"node {self.node_id} already hosts route {service.name!r}"
             )
-        self.services[service.route] = service
+        service.node = self
+        self.services[service.name] = service
 
     # -- state transitions ----------------------------------------------------
 
@@ -742,7 +137,7 @@ class ClusterNode:
         for service in self.services.values():
             service.set_slow(factor)
 
-    def crash_pool_worker(self) -> int:
+    def crash_pool_workers(self) -> int:
         """Kill one kernel-pool worker per pool-enabled station.
 
         Returns the total rows re-dispatched.  A DOWN node has no pool

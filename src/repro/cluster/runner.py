@@ -3,7 +3,9 @@
 :class:`ClusterRunner` is the cluster sibling of
 :class:`~repro.gateway.capacity.CapacityRunner`: the same single
 :class:`~repro.gateway.records.RecordLog`, the same single event heap,
-the same streaming per-route aggregates — plus everything a one-node run
+the same :class:`~repro.gateway.services.MicroService` station (one per
+node and route, each reporting to one shared completion sink), the same
+streaming aggregates and report merge — plus everything a one-node run
 never needs:
 
 * **replica dispatch** — each request routes to the first *serving* node
@@ -11,7 +13,8 @@ never needs:
   when the cluster is healthy);
 * **failover** — a typed failure (queue-full rejection, crash-lost row,
   partition-lost response) retries on the next live replica up to
-  ``max_attempts``, then finalises with a typed error.  Nothing is ever
+  ``max_attempts``, then finalises with a typed error; a shed or an
+  unsupported payload is final at once.  Nothing is ever
   silently dropped: every appended row is observed exactly once, as a
   success or as an interned, named failure (``conservation()`` exposes
   the ledger the failover tests assert on);
@@ -27,7 +30,7 @@ never needs:
   two nodes.
 
 Fault plans (:mod:`repro.cluster.faults`) are replayed onto the shared
-heap; the runner owns all consequences — epoch-guarded services drop
+heap; the runner owns all consequences — the stations' epoch guard drops
 stale completions, lost rows fail over here.
 """
 
@@ -50,17 +53,17 @@ from repro.cluster.faults import (
     FaultEvent,
     FaultPlan,
 )
-from repro.cluster.node import ClusterNode, NodeService
+from repro.cluster.node import ClusterNode
 from repro.cluster.topology import ClusterTopology
 from repro.gateway.arrivals import PoissonArrivalGroup, arrival_chunks
-from repro.gateway.capacity import ARRIVAL_CHUNK, _SimCacheGate
+from repro.gateway.capacity import ARRIVAL_CHUNK, _SimCacheGate, merged_report
 from repro.gateway.loadgen import SummaryReport, ThreadGroup
 from repro.gateway.records import RecordLog
+from repro.gateway.services import MicroService
 from repro.gateway.simulation import _NO_ARG
-from repro.gateway.sketches import QuantileSketch, RouteStats, StreamingMoments
+from repro.gateway.sketches import RouteStats
 from repro.serving.policy import ServingPolicy
 from repro.telemetry.events import (
-    KIND_POOL,
     KIND_RESPONSE,
     KIND_SERVING,
     KIND_UTILIZATION,
@@ -238,7 +241,7 @@ class _TracedJob:
     def complete(
         self,
         runner: "ClusterRunner",
-        service: Optional[NodeService],
+        service: Optional[MicroService],
         row: int,
         end: float,
         ms: float,
@@ -420,7 +423,7 @@ class ClusterRunner:
         #: route id -> preference-ordered service list (rebuilt on
         #: membership change, *not* on faults — dispatch skips dead nodes
         #: via the node ``serving`` flag)
-        self._route_services: List[List[NodeService]] = []
+        self._route_services: List[List[MicroService]] = []
         self._bound_routes: Dict[int, str] = {}
         self._node_ordinal: Dict[str, int] = {}
         #: row -> failover attempts so far; only rows that ever failed
@@ -490,16 +493,16 @@ class ClusterRunner:
             services.append(service)
         self._route_services[route_id] = services
 
-    def _attach(self, service: NodeService, route_id: int) -> None:
+    def _attach(self, service: MicroService, route_id: int) -> None:
         node_id = service.node.node_id
         ordinal = self._node_ordinal.setdefault(
             node_id, len(self._node_ordinal)
         )
         if self.serving is not None:
             service.configure_serving(self.serving)
-        service.bind(self.log, self.sim, self._row_completed)
+        service.use_columnar(self.log, self.sim, self._row_completed)
         service.stats = RouteStats(
-            service.route,
+            service.name,
             seed=self.seed + 7_919 * (route_id + 1) + 104_729 * (ordinal + 1),
             relative_accuracy=self.relative_accuracy,
             series_slots=self.series_slots,
@@ -679,7 +682,9 @@ class ClusterRunner:
         if free is not None:
             free.append(row)
 
-    def _row_completed(self, service: NodeService, row: int, ok: bool) -> None:
+    def _row_completed(
+        self, service: MicroService, row: int, ok: bool
+    ) -> None:
         """Per-request completion sink (all replicas share this method).
 
         The streaming fold is :meth:`RouteStats.observe` inlined, exactly
@@ -789,25 +794,29 @@ class ClusterRunner:
     # -- failover (cold path) ------------------------------------------------
 
     def _completed_exceptional(
-        self, service: NodeService, row: int, ok: bool
+        self, service: MicroService, row: int, ok: bool
     ) -> None:
         if ok:
             # the station finished the work, but its node is partitioned:
             # the response cannot reach the gateway — typed retry
             self.lost_responses += 1
             self._failover(row, service.node, self._err_partition)
-        else:
-            code = int(self.log.v_error_codes[row])
-            if code == service._err_shed:
-                # admission control shed the request *deliberately* —
-                # retrying on a replica would convert load shedding into
-                # load spreading and defeat the overload protection, so
-                # a shed is final and keeps its typed 503
-                self._final_shed(row, code)
-                return
-            # typed rejection (queue full): the log row already carries
-            # the interned error; try the next replica before giving up
+            return
+        code = int(self.log.v_error_codes[row])
+        if code == service._err_queue_full:
+            # typed rejection: the log row already carries the interned
+            # error; try the next replica before giving up
             self._failover(row, service.node, code)
+        elif code == service._err_shed:
+            # admission control shed the request *deliberately* —
+            # retrying on a replica would convert load shedding into
+            # load spreading and defeat the overload protection, so a
+            # shed is final and keeps its typed 503
+            self._final_shed(row, code)
+        else:
+            # unsupported payload: every replica serves the route from
+            # one RouteSpec, so a retry would fail the same way
+            self._final_fail(row, code)
 
     def _failover(
         self, row: int, failed_node: ClusterNode, code: int
@@ -925,7 +934,7 @@ class ClusterRunner:
             self.pool_worker_crashes += 1
             self.pool_redispatched += topology.nodes[
                 event.node_id
-            ].crash_pool_worker()
+            ].crash_pool_workers()
 
     # -- reporting -----------------------------------------------------------
 
@@ -969,15 +978,16 @@ class ClusterRunner:
     def summary(self, duration: float) -> SummaryReport:
         """Cluster-wide report: sketches merged across nodes, then routes."""
         grouped = self._stats_by_route()
-        if not grouped:
-            return SummaryReport(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, duration)
-        report = self._merged_report(
-            [s for bundle in grouped.values() for s in bundle], duration
+        accuracy = self.relative_accuracy
+        report = merged_report(
+            [s for bundle in grouped.values() for s in bundle],
+            duration,
+            accuracy,
         )
         if len(grouped) > 1:
             for route_id in sorted(grouped):
                 report.per_route[self.log.route_name(route_id)] = (
-                    self._merged_report(grouped[route_id], duration)
+                    merged_report(grouped[route_id], duration, accuracy)
                 )
         return report
 
@@ -988,46 +998,9 @@ class ClusterRunner:
             if stats.n_requests > 0:
                 per_node.setdefault(node_id, []).append(stats)
         return {
-            node_id: self._merged_report(bundle, duration)
+            node_id: merged_report(bundle, duration, self.relative_accuracy)
             for node_id, bundle in sorted(per_node.items())
         }
-
-    def _merged_report(
-        self, bundle: List[RouteStats], duration: float
-    ) -> SummaryReport:
-        merged_sketch = QuantileSketch(self.relative_accuracy)
-        merged_moments = StreamingMoments()
-        n_requests = 0
-        n_errors = 0
-        timeline = []
-        for stats in bundle:
-            merged_sketch.merge(stats.latency)
-            merged_moments.merge(stats.moments)
-            n_requests += stats.n_requests
-            n_errors += stats.n_errors
-            timeline.extend(stats.timeline())
-        timeline.sort()
-        n_ok = n_requests - n_errors
-        if n_ok:
-            avg = merged_moments.mean
-            median = merged_sketch.quantile(0.5)
-            p95 = merged_sketch.quantile(0.95)
-            p99 = merged_sketch.quantile(0.99)
-            peak = merged_sketch.max
-        else:
-            avg = median = p95 = p99 = peak = 0.0
-        return SummaryReport(
-            n_requests=n_requests,
-            n_errors=n_errors,
-            avg_response_ms=avg,
-            median_response_ms=median,
-            p95_response_ms=p95,
-            max_response_ms=peak,
-            throughput_rps=n_ok / duration if duration > 0 else 0.0,
-            duration_seconds=duration,
-            p99_response_ms=p99,
-            timeline=timeline,
-        )
 
     def exemplar_events(self) -> List[TelemetryEvent]:
         """Kept exemplars as node-sharded, trace-linked response events.
@@ -1066,31 +1039,10 @@ class ClusterRunner:
             return {}
         out: Dict[str, dict] = {}
         for route_id, route in sorted(self._bound_routes.items()):
-            nodes: Dict[str, dict] = {}
-            for service in self._route_services[route_id]:
-                batches = service.batches_flushed
-                entry_node = {
-                    "batches": batches,
-                    "rows_batched": service.rows_batched,
-                    "mean_batch": (
-                        service.rows_batched / batches if batches else 0.0
-                    ),
-                    "by_size": service.flushed_by_size,
-                    "by_deadline": service.flushed_by_deadline,
-                    "peak_batch": service.batch_size_peak,
-                    "shed_rows": service.shed_rows,
-                }
-                if service._pool_workers:
-                    entry_node["pool"] = {
-                        "workers": service._pool_workers,
-                        "batches": service.pool_batches,
-                        "rows": service.pool_rows,
-                        "crashes": service.pool_crashes,
-                        "restarts": service.pool_restarts,
-                        "resubmitted": service.pool_resubmitted,
-                        "peak_inflight": service.pool_peak_inflight,
-                    }
-                nodes[service.node.node_id] = entry_node
+            nodes = {
+                service.node.node_id: service.serving_counters()
+                for service in self._route_services[route_id]
+            }
             entry: Dict[str, object] = {"nodes": nodes}
             gate = self._cache_gates.get(route_id)
             if gate is not None:
@@ -1121,53 +1073,9 @@ class ClusterRunner:
         shed_by_route: Dict[str, int] = {}
         for route_id, route in sorted(self._bound_routes.items()):
             for service in self._route_services[route_id]:
-                batches = service.batches_flushed
-                node_id = service.node.node_id
-                event = TelemetryEvent(
-                    source="serving:" + node_source(route, node_id),
-                    value=(
-                        service.rows_batched / batches if batches else 0.0
-                    ),
-                    timestamp=at,
-                    kind=KIND_SERVING,
-                    attrs={
-                        "batches": float(batches),
-                        "rows": float(service.rows_batched),
-                        "by_size": float(service.flushed_by_size),
-                        "by_deadline": float(service.flushed_by_deadline),
-                        "peak": float(service.batch_size_peak),
-                        "shed": float(service.shed_rows),
-                    },
-                )
-                event.with_node(node_id)
-                events.append(event)
+                events.append(service.serving_event(at))
                 if service._pool_workers:
-                    batches = service.pool_batches
-                    pool_event = TelemetryEvent(
-                        source="pool:" + node_source(route, node_id),
-                        value=float(service.pool_backlog),
-                        timestamp=at,
-                        kind=KIND_POOL,
-                        attrs={
-                            "workers": float(service._pool_workers),
-                            "batches": float(batches),
-                            "rows": float(service.pool_rows),
-                            "mean_fan_out": (
-                                service.pool_rows / batches
-                                if batches
-                                else 0.0
-                            ),
-                            "peak_inflight": float(
-                                service.pool_peak_inflight
-                            ),
-                            "crashes": float(service.pool_crashes),
-                            "restarts": float(service.pool_restarts),
-                            "resubmitted": float(service.pool_resubmitted),
-                            "busy_seconds": service.pool_busy_seconds,
-                        },
-                    )
-                    pool_event.with_node(node_id)
-                    events.append(pool_event)
+                    events.append(service.pool_event(at))
                 if service.shed_rows:
                     shed_by_route[route] = (
                         shed_by_route.get(route, 0) + service.shed_rows

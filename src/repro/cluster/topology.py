@@ -2,9 +2,9 @@
 
 :class:`ClusterTopology` is the control plane of the simulated cluster.
 It owns the membership (node objects + the consistent-hash ring), builds
-one :class:`~repro.cluster.node.NodeService` per (node, route) pair, and
-answers the one question the data plane asks per request: *which nodes
-may serve this route, in what failover order?*
+one :class:`~repro.gateway.services.MicroService` station per (node,
+route) pair, and answers the one question the data plane asks per
+request: *which nodes may serve this route, in what failover order?*
 
 Placement is two-level:
 
@@ -26,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.cluster.node import ClusterNode, NodeService
+from repro.cluster.node import ClusterNode
 from repro.cluster.ring import ConsistentHashRing
 from repro.gateway.cluster import PAPER_SERVICES
-from repro.gateway.services import ServiceTimeModel
+from repro.gateway.services import MicroService, ServiceTimeModel
 from repro.gateway.simulation import Simulator
 
 __all__ = ["ClusterTopology", "RouteSpec", "paper_route_specs"]
@@ -170,9 +170,9 @@ class ClusterTopology:
                 seed=node_seed + 7_919 * (route_index + 1),
             )
             node.add_service(
-                NodeService(
+                MicroService(
                     spec.route,
-                    node,
+                    None,
                     model,
                     concurrency=spec.concurrency,
                     queue_capacity=spec.queue_capacity,

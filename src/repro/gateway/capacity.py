@@ -56,7 +56,7 @@ from repro.serving.cache import ExplanationCache
 from repro.serving.policy import ServingPolicy
 from repro.telemetry.events import KIND_RESPONSE, KIND_SERVING, TelemetryEvent
 
-__all__ = ["CapacityRunner", "summary_from_log"]
+__all__ = ["CapacityRunner", "merged_report", "summary_from_log"]
 
 #: Arrivals bulk-loaded into the event heap per open-loop chunk; bounds
 #: both the numpy draw size and the number of pre-scheduled heap entries.
@@ -74,7 +74,7 @@ class _VirtualUser:
 
     __slots__ = ("runner", "service", "route", "route_id", "payload",
                  "payload_id", "think", "remaining", "sim", "overhead",
-                 "log", "submit", "delay", "step", "stats")
+                 "log", "submit", "delay", "step")
 
     def __init__(
         self,
@@ -93,10 +93,6 @@ class _VirtualUser:
         self.submit = runner.submit_for(service, group.route, group.payload)
         self.route = group.route
         self.route_id = runner.log.intern_route(group.route)
-        #: the route's streaming aggregate — the completion sink takes it
-        #: straight off the parked owner instead of re-resolving the row's
-        #: route id through the log
-        self.stats = runner.route_stats[self.route_id]
         self.payload = group.payload
         self.payload_id = runner.log.intern_payload(group.payload)
         self.think = group.think_time
@@ -272,23 +268,26 @@ class _SimCacheGate:
     service path.  The content-id stream is pre-drawn in chunks like
     the arrival processes, so the per-request cost is one list index
     plus one :class:`~repro.serving.cache.ExplanationCache` probe.
+    ``service`` is the route's station for :meth:`submit`; the cluster
+    runner, which picks a replica per request, passes ``None`` and calls
+    :meth:`lookup` itself.
     """
 
     CHUNK = 4096
 
-    __slots__ = ("runner", "route", "inner", "cache", "sim", "log",
+    __slots__ = ("runner", "route", "service", "cache", "sim", "log",
                  "_rng", "_probs", "_n_items", "_ids", "_pos")
 
     def __init__(
         self,
         runner: "CapacityRunner",
         route: str,
-        inner: Callable[[int], None],
+        service: Optional[MicroService],
         policy: ServingPolicy,
     ) -> None:
         self.runner = runner
         self.route = route
-        self.inner = inner
+        self.service = service
         self.cache = ExplanationCache(policy.cache_size, ttl=policy.cache_ttl)
         self.sim = runner.sim
         self.log = runner.log
@@ -323,9 +322,9 @@ class _SimCacheGate:
         now = self.sim.now
         if self.lookup(now):
             self.log.v_start[row] = now
-            self.runner.row_completed(row, True)
+            self.runner.row_completed(self.service, row, True)
         else:
-            self.inner(row)
+            self.service.submit_row_serving(row)
 
     def event(self, at: float) -> TelemetryEvent:
         """Hit-rate event (``cache:<route>``) carrying the raw counters."""
@@ -400,22 +399,13 @@ class CapacityRunner:
         #: ``log.appended`` for the number of requests started)
         self.sent = 0
         self.in_flight = 0
-        #: route id -> streaming aggregate (ids are log-interned ints)
+        #: route id -> streaming aggregate (ids are log-interned ints);
+        #: a bound station carries its route's bundle as ``stats``
         self.route_stats: Dict[int, RouteStats] = {}
-        # dense route-id-indexed view of route_stats: the completion sink
-        # fires once per request, and a list index on a small int beats a
-        # dict probe there
-        self._stats_list: List[Optional[RouteStats]] = []
         # completion recycles rows inline (``log.slots`` row linkage and
         # the free list) rather than through dict lookups and a release
-        # call; the sink variant is chosen here so retain mode never even
-        # tests for a free list on the per-request path
-        self._free = self.log._free
-        self.row_completed = (
-            self._row_completed_retain
-            if retain_records
-            else self._row_completed_ring
-        )
+        # call; retain mode keeps every row, so it has no free list
+        self._free = None if retain_records else self.log._free
         # closed-loop continuation is a pure heap push (the think delay
         # is non-negative by construction) — see MicroService.use_columnar
         self._sim_queue = sim._queue
@@ -441,9 +431,6 @@ class CapacityRunner:
                 exemplar_slots=self.exemplar_slots,
             )
             self.route_stats[route_id] = stats
-            while len(self._stats_list) <= route_id:
-                self._stats_list.append(None)
-            self._stats_list[route_id] = stats
         return stats
 
     def bind(self, route: str) -> MicroService:
@@ -455,7 +442,9 @@ class CapacityRunner:
             if self.serving is not None:
                 service.configure_serving(self.serving)
             self._bound[route] = service
-            self._stats_for(route, self.log.intern_route(route))
+            service.stats = self._stats_for(
+                route, self.log.intern_route(route)
+            )
         return service
 
     def submit_for(
@@ -480,9 +469,7 @@ class CapacityRunner:
         if policy.cache_size > 0:
             gate = self._cache_gates.get(route)
             if gate is None:
-                gate = _SimCacheGate(
-                    self, route, service.submit_row_serving, policy
-                )
+                gate = _SimCacheGate(self, route, service, policy)
                 self._cache_gates[route] = gate
             return gate.submit
         return service.submit_row_serving
@@ -508,18 +495,19 @@ class CapacityRunner:
 
     # -- hot-path sinks -----------------------------------------------------
 
-    def _row_completed_retain(self, row: int, ok: bool) -> None:
-        """Service finished a row: response leg, stats, advance.
+    def row_completed(self, service: MicroService, row: int, ok: bool) -> None:
+        """Service finished a row: response leg, stats, advance, recycle.
 
-        ``ok`` arrives from the service (mirroring ``log.ok[row]``) and
-        scalar column access goes through the log's memoryview mirrors
-        so the sketch and reservoir work on plain Python floats/ints
-        (faster hashing and math than numpy scalars on a per-event path).
+        ``service`` is the station that served the row; its ``stats`` is
+        the route's streaming aggregate.  ``ok`` arrives from the service
+        (mirroring ``log.ok[row]``) and scalar column access goes through
+        the log's memoryview mirrors so the sketch and reservoir work on
+        plain Python floats/ints (faster hashing and math than numpy
+        scalars on a per-event path).
         Closed-loop continuation comes off ``log.slots``: the owning
         virtual user parked itself on its in-flight row and is cleared
         here, keeping the None-when-free invariant recycled rows rely on.
-        ``__init__`` installs this variant (every row kept) or the ring
-        variant (row recycled onto the free list) as ``row_completed``.
+        In ring mode the row then goes back on the free list.
 
         The streaming fold — sketch bin bump, Welford update, reservoir
         steady-state check — is :meth:`RouteStats.observe` inlined: this
@@ -536,17 +524,13 @@ class CapacityRunner:
         owner = slots[row]
         if owner is not None:
             slots[row] = None
-            # the parked user carries its route's stats bundle, so the
-            # common closed-loop case skips the route-id column read;
             # client receives at end; think; next submit one leg later —
             # owner.delay is denominated from ``end``, so no clock read
-            stats = owner.stats
             _heappush(
                 self._sim_queue,
                 (end + owner.delay, next(self._sim_counter), owner.step, _NO_ARG),
             )
-        else:
-            stats = self._stats_list[log.v_route_ids[row]]
+        stats = service.stats
         if ok:
             latency = stats.latency
             if ms < latency.min:
@@ -578,15 +562,9 @@ class CapacityRunner:
         else:
             stats.n_errors += 1
         self.in_flight -= 1
-
-    def _row_completed_ring(self, row: int, ok: bool) -> None:
-        """Ring-mode completion sink: as retain, plus row recycling.
-
-        The row goes on the free list first; the retained fold then
-        clears ``slots[row]``, preserving the None-when-free invariant.
-        """
-        self._free.append(row)
-        self._row_completed_retain(row, ok)
+        free = self._free
+        if free is not None:
+            free.append(row)
 
     def dispatch_traced(
         self,
@@ -626,37 +604,12 @@ class CapacityRunner:
             for route_id in sorted(self.route_stats)
             if self.route_stats[route_id].n_requests > 0
         ]
-        if not active:
-            return SummaryReport(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, duration)
-        merged_sketch = QuantileSketch(self.relative_accuracy)
-        merged_moments = StreamingMoments()
-        n_requests = 0
-        n_errors = 0
-        timeline = []
-        for stats in active:
-            merged_sketch.merge(stats.latency)
-            merged_moments.merge(stats.moments)
-            n_requests += stats.n_requests
-            n_errors += stats.n_errors
-            timeline.extend(stats.timeline())
-        timeline.sort()
-        report = _stats_report(
-            n_requests,
-            n_errors,
-            merged_sketch,
-            merged_moments,
-            duration,
-            timeline,
-        )
+        accuracy = self.relative_accuracy
+        report = merged_report(active, duration, accuracy)
         if len(active) > 1:
             for stats in active:
-                report.per_route[stats.route] = _stats_report(
-                    stats.n_requests,
-                    stats.n_errors,
-                    stats.latency,
-                    stats.moments,
-                    duration,
-                    stats.timeline(),
+                report.per_route[stats.route] = merged_report(
+                    [stats], duration, accuracy
                 )
         return report
 
@@ -667,28 +620,7 @@ class CapacityRunner:
             service = self._bound[route]
             if service.serving is None:
                 continue
-            batches = service.batches_flushed
-            entry = {
-                "batches": batches,
-                "rows_batched": service.rows_batched,
-                "mean_batch": (
-                    service.rows_batched / batches if batches else 0.0
-                ),
-                "by_size": service.flushed_by_size,
-                "by_deadline": service.flushed_by_deadline,
-                "peak_batch": service.batch_size_peak,
-                "shed_rows": service.shed_rows,
-            }
-            if service._pool_workers:
-                entry["pool"] = {
-                    "workers": service._pool_workers,
-                    "batches": service.pool_batches,
-                    "rows": service.pool_rows,
-                    "crashes": service.pool_crashes,
-                    "restarts": service.pool_restarts,
-                    "resubmitted": service.pool_resubmitted,
-                    "peak_inflight": service.pool_peak_inflight,
-                }
+            entry = service.serving_counters()
             gate = self._cache_gates.get(route)
             if gate is not None:
                 entry["cache"] = gate.cache.counters()
@@ -763,14 +695,28 @@ class CapacityRunner:
         return self.log.records()
 
 
-def _stats_report(
-    n_requests: int,
-    n_errors: int,
-    sketch: QuantileSketch,
-    moments: StreamingMoments,
-    duration: float,
-    timeline,
+def merged_report(
+    bundle: List[RouteStats], duration: float, relative_accuracy: float
 ) -> SummaryReport:
+    """One report over a bundle of streaming aggregates.
+
+    The sketches and moments merge losslessly, so a one-element bundle
+    reports exactly what its aggregate holds; an empty bundle gives the
+    all-zero report.  The capacity runner passes routes, the cluster
+    runner (node, route) shards.
+    """
+    sketch = QuantileSketch(relative_accuracy)
+    moments = StreamingMoments()
+    n_requests = 0
+    n_errors = 0
+    timeline = []
+    for stats in bundle:
+        sketch.merge(stats.latency)
+        moments.merge(stats.moments)
+        n_requests += stats.n_requests
+        n_errors += stats.n_errors
+        timeline.extend(stats.timeline())
+    timeline.sort()
     n_ok = n_requests - n_errors
     if n_ok:
         avg = moments.mean

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush as _heappush
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -160,12 +160,25 @@ class _SampleBuffer:
 class MicroService:
     """A metric micro-service: c parallel workers over a bounded FIFO queue.
 
+    This is the one simulated station.  A single-node deployment reaches
+    it through :class:`~repro.gateway.gateway.APIGateway` (the record
+    path) and :class:`~repro.gateway.capacity.CapacityRunner` (the
+    columnar row path); a cluster node hosts one per route and drives
+    the same columnar paths through
+    :class:`~repro.cluster.runner.ClusterRunner`.  The serving tier (a
+    micro-batcher and a simulated kernel pool) and the fault surface
+    (crash, slow-down) sit on top of those paths; without faults the
+    crash guard costs each row one epoch-token add and check and one
+    in-flight set insert and removal.
+
     Parameters
     ----------
     name:
         Route name (e.g. ``"shap"``).
     machine:
-        Host machine; default worker count is its vCPU count.
+        Host machine; default worker count is its vCPU count.  ``None``
+        for a cluster node's station, whose concurrency comes from its
+        route spec.
     service_time:
         Payload-aware :class:`ServiceTimeModel`.
     concurrency:
@@ -187,7 +200,7 @@ class MicroService:
     def __init__(
         self,
         name: str,
-        machine: Machine,
+        machine: Optional[Machine],
         service_time: ServiceTimeModel,
         concurrency: Optional[int] = None,
         queue_capacity: int = 1000,
@@ -200,12 +213,16 @@ class MicroService:
                 raise ValueError("stages mapping must not be empty")
             if any(w <= 0 for w in stages.values()):
                 raise ValueError("stage weights must be positive")
+        if concurrency is None:
+            if machine is None:
+                raise ValueError("a machine-less station needs concurrency")
+            concurrency = machine.vcpus
+        if concurrency < 1:
+            raise ValueError("concurrency must be >= 1")
         self.name = name
         self.machine = machine
         self.service_time = service_time
-        self.concurrency = machine.vcpus if concurrency is None else concurrency
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
+        self.concurrency = concurrency
         self.queue_capacity = queue_capacity
         self.stages = dict(stages) if stages else None
         #: Optional completion hook ``probe(tracer, span, record)`` fired
@@ -215,18 +232,42 @@ class MicroService:
         #: sensor poll, attaching real AI-trust measurements to the
         #: request's trace.
         self.probe: Optional[Callable] = None
+        #: The cluster node hosting this station (set by
+        #: ``ClusterNode.add_service``); ``None`` on a single-node
+        #: deployment.  A node-bound station names its node in its error
+        #: texts and telemetry sources.
+        self.node = None
+        #: The runner's streaming stats bundle, attached at bind time so
+        #: the completion sink reaches it without a lookup.
+        self.stats = None
         self._busy = 0
-        # Unified FIFO: record-path entries are 5-tuples, columnar-path
-        # entries are bare row ints; deque gives O(1) popleft either way.
+        # Unified FIFO: record-path entries are tuples, row entries bare
+        # ints, parked serving batches lists; deque gives O(1) popleft.
         self._waiting: deque = deque()
         self.completed: List[RequestRecord] = []
-        #: Requests completed on the columnar row path (the row itself
+        #: Rows served successfully on the columnar paths (the row itself
         #: lives in the bound :class:`~repro.gateway.records.RecordLog`,
         #: possibly recycled — only the count is retained here).
-        self.completed_rows: int = 0
-        self.rejected: int = 0
+        self.completed_rows = 0
+        #: Rows typed-failed on the columnar paths (queue full, shed,
+        #: unsupported payload).
+        self.failed_rows = 0
+        self.rejected = 0
+        #: Completions that arrived after a crash had already handed
+        #: their rows back (dropped, never sunk).
+        self.stale_completions = 0
         self._peak_queue = 0
         self._busy_seconds = 0.0  # cumulative worker-seconds of service
+        # Crash safety: row completions are scheduled as the token
+        # ``(epoch << 32) + row`` and batch completions as
+        # ``(epoch, batch)``.  A crash bumps the epoch, so everything
+        # scheduled before it arrives stale.  ``_tag`` caches
+        # ``epoch << 32``; without faults it stays 0 and the token is
+        # the row.
+        self._epoch = 0
+        self._tag = 0
+        self._slow = 1.0
+        self._inflight: Set[int] = set()
         # Columnar-mode bindings (set by use_columnar); None = record-only.
         self._log = None
         self._sim: Optional[Simulator] = None
@@ -235,8 +276,11 @@ class MicroService:
         self._sim_counter = None
         self._supported_ids: frozenset = frozenset()
         self._err_queue_full = 0
+        self._err_shed = 0
         self._err_unsupported: Dict[int, int] = {}
         self._st_buffers: Dict[int, _SampleBuffer] = {}
+        self._st_last_id = -1  # last payload's buffer, cached off the dict
+        self._st_last_buf: Optional[_SampleBuffer] = None
         self._finish_cb = self._finish_row  # pre-bound: no per-event binding
         # Serving-mode bindings (set by configure_serving); None keeps
         # the classic one-row-per-worker dispatch untouched.
@@ -248,7 +292,6 @@ class MicroService:
         self._srv_window = 0.0
         self._srv_marginal = 0.0
         self._srv_shed_depth = 0
-        self._err_shed = 0
         self.batches_flushed = 0
         self.rows_batched = 0
         self.flushed_by_size = 0
@@ -276,6 +319,8 @@ class MicroService:
         self.pool_peak_inflight = 0
         self._finish_pool_batch_cb = self._finish_pool_batch
 
+    # -- record path ---------------------------------------------------------
+
     def submit(
         self,
         request: Request,
@@ -301,6 +346,7 @@ class MicroService:
             on_complete(record)
             return
         if self._busy < self.concurrency:
+            self._busy += 1
             self._start(record, sim, on_complete, tracer, parent)
         elif len(self._waiting) < self.queue_capacity:
             queue_span = NULL_SPAN
@@ -312,7 +358,9 @@ class MicroService:
                 queue_span.set_attribute(
                     "queue_depth", float(len(self._waiting))
                 )
-            self._waiting.append((record, on_complete, tracer, parent, queue_span))
+            self._waiting.append(
+                (record, sim, on_complete, tracer, parent, queue_span)
+            )
             self._peak_queue = max(self._peak_queue, len(self._waiting))
         else:
             self.rejected += 1
@@ -344,25 +392,25 @@ class MicroService:
         parent=None,
         queue_span=None,
     ) -> None:
-        self._busy += 1
+        """Serve a record on a worker the caller has already claimed."""
         record.start = sim.now
         recording = tracer.is_recording
         if recording and queue_span is not None:
             queue_span.end(at=sim.now)
-        duration = self.service_time.sample(record.request.payload)
+        payload = record.request.payload
+        duration = self.service_time.sample(payload) * self._slow
         process_span = NULL_SPAN
         if recording:
             process_span = tracer.start_span(
                 "service.process", parent=parent, start_time=sim.now
             )
             process_span.set_attribute("service", self.name)
-            process_span.set_attribute("payload", record.request.payload)
+            process_span.set_attribute("payload", payload)
             process_span.set_attribute("busy_workers", float(self._busy))
             record.trace = process_span.context
 
         def finish() -> None:
             record.end = sim.now
-            self._busy -= 1
             self._busy_seconds += record.end - record.start
             self.completed.append(record)
             if recording and self.stages:
@@ -371,18 +419,7 @@ class MicroService:
                 self.probe(tracer, process_span, record)
             if recording:
                 process_span.end(at=sim.now)
-            # hand the freed worker to the queue head BEFORE notifying the
-            # caller: a callback that synchronously resubmits must queue
-            # behind earlier arrivals, not grab the worker (and the cap
-            # would otherwise be breached when both paths start a request)
-            if self._waiting:
-                entry = self._waiting.popleft()
-                if type(entry) is int:
-                    self._start_row(entry)
-                else:
-                    self._start(
-                        entry[0], sim, entry[1], entry[2], entry[3], entry[4]
-                    )
+            self._release_worker()
             on_complete(record)
 
         sim.schedule(duration, finish)
@@ -409,27 +446,69 @@ class MicroService:
             ).set_attribute("service", self.name).end(at=stage_end)
             cursor = stage_end
 
+    # -- worker hand-off (shared by every path) ------------------------------
+
+    def _release_worker(self) -> None:
+        """A worker finished: hand it to the queue head, or free it.
+
+        Runs *before* the completion is reported, so a caller that
+        resubmits synchronously queues behind earlier arrivals instead of
+        grabbing the worker.  While ``busy`` exceeds a cap that
+        :meth:`set_concurrency` just lowered, the worker retires instead.
+        """
+        waiting = self._waiting
+        if waiting and self._busy <= self.concurrency:
+            self._start_entry(waiting.popleft())
+        else:
+            self._busy -= 1
+
+    def _start_entry(self, entry) -> None:
+        """Start one queue entry on a claimed worker."""
+        if type(entry) is int:
+            self._start_row(entry)
+        elif type(entry) is list:
+            self._start_batch(entry)
+        else:
+            self._start(*entry)
+
+    def set_concurrency(self, target: int, sim: Simulator) -> None:
+        """Re-provision the worker pool (autoscaling, §V dynamic capacity).
+
+        Growing the pool immediately starts queued requests on the new
+        workers; shrinking only lowers the cap — in-flight requests finish,
+        and each worker that frees up above the new cap retires instead
+        of taking the next queued request.
+        """
+        if target < 1:
+            raise ValueError("concurrency must be >= 1")
+        self.concurrency = target
+        # drain strictly from the head so FIFO arrival order is preserved
+        waiting = self._waiting
+        while self._busy < target and waiting:
+            self._busy += 1
+            self._start_entry(waiting.popleft())
+
     # -- columnar row path ---------------------------------------------------
     #
     # The million-request hot path: a request is a row index in a bound
     # RecordLog, the service time comes from a refillable pre-sampled
-    # buffer, and every scheduled callback is a bound method via
-    # Simulator.schedule_call — no Request/RequestRecord dataclasses, no
-    # closures, no per-request tuples.  The record path above stays the
-    # default (and the traced/oracle path); both share one FIFO, so
-    # trace-sampled requests interleave with row requests in true
-    # arrival order.
+    # buffer, and every scheduled callback is a bound method pushed
+    # straight onto the simulator heap — no Request/RequestRecord
+    # dataclasses, no closures, no per-request tuples.  The record path
+    # above shares the FIFO, so trace-sampled requests interleave with
+    # row requests in true arrival order.
 
     def use_columnar(self, log, sim: Simulator, sink) -> None:
         """Bind this service to a record log for the row-based hot path.
 
-        ``sink(row, ok)`` is invoked at service-completion time for every
-        row (success, reject or unsupported payload); the caller (the
-        capacity runner) owns response-leg accounting — including the
-        row's ``end`` stamp, which the service leaves untouched on the
-        success path — plus streaming stats and row recycling.  ``ok``
-        mirrors ``log.ok[row]`` — passing it spares the sink a
-        per-request column read.
+        ``sink(service, row, ok)`` is invoked once per row when the
+        station is done with it (success, reject, shed or unsupported
+        payload); ``service`` is this station, so one sink can serve many
+        stations and read per-station state such as :attr:`stats` or
+        :attr:`node`.  The caller owns response-leg accounting —
+        including the row's ``end`` stamp, which the station leaves
+        untouched on the success path — plus streaming stats and row
+        recycling.  ``ok`` mirrors ``log.ok[row]``.
         """
         self._log = log
         self._sim = sim
@@ -443,75 +522,25 @@ class MicroService:
         self._supported_ids = frozenset(
             log.intern_payload(p) for p in self.service_time.base_seconds
         )
-        self._err_queue_full = log.intern_error("queue full (503)")
-        self._err_shed = log.intern_error(SHED_ERROR_MESSAGE)
+        # a node-bound station names itself in its typed errors; the shed
+        # text keeps the SHED_ERROR_MESSAGE prefix, so is_shed_error()
+        # still matches
+        node = self.node
+        where = "" if node is None else f" at {node.node_id}/{self.name}"
+        self._err_queue_full = log.intern_error(f"queue full{where} (503)")
+        self._err_shed = log.intern_error(SHED_ERROR_MESSAGE + where)
         self._err_unsupported = {}
         self._st_buffers = {}
-        self._st_last_id = -1  # last payload's buffer, cached off the dict
+        self._st_last_id = -1
         self._st_last_buf = None
 
     def submit_row(self, row: int) -> None:
-        """Accept (or reject) a columnar request at the current time."""
-        log = self._log
-        # the memoryview yields a Python int: set/dict probes on it beat
-        # hashing a numpy scalar, and this runs once per simulated request
-        payload_id = log.v_payload_ids[row]
+        """Accept (or typed-reject) a columnar request at the current time."""
+        payload_id = self._log.v_payload_ids[row]
         if payload_id not in self._supported_ids:
-            code = self._err_unsupported.get(payload_id)
-            if code is None:
-                payload = log.payload_name(payload_id)
-                code = log.intern_error(f"unsupported payload {payload!r}")
-                self._err_unsupported[payload_id] = code
-            log.fail(row, code, self._sim.now)
-            self.completed_rows += 1
-            self._sink(row, False)
-            return
-        if self._busy < self.concurrency:
-            # inline of _start_row (sans the queue-drain re-read): the
-            # uncongested accept runs once per simulated request, and the
-            # call alone costs as much as the buffer bookkeeping
-            self._busy += 1
-            now = self._sim.now
-            log.v_start[row] = now
-            if payload_id == self._st_last_id:
-                buffer = self._st_last_buf
-            else:
-                buffer = self._st_buffers.get(payload_id)
-                if buffer is None:
-                    buffer = _SampleBuffer()
-                    self._st_buffers[payload_id] = buffer
-                self._st_last_id = payload_id
-                self._st_last_buf = buffer
-            pos = buffer.pos
-            values = buffer.values
-            if pos >= len(values):
-                values = self.service_time.sample_batch(
-                    log.payload_name(payload_id), SERVICE_TIME_BATCH
-                ).tolist()
-                buffer.values = values
-                pos = 0
-            buffer.pos = pos + 1
-            _heappush(
-                self._sim_queue,
-                (
-                    now + values[pos],
-                    next(self._sim_counter),
-                    self._finish_cb,
-                    row,
-                ),
-            )
+            self._fail_unsupported(row, payload_id)
         else:
-            waiting = self._waiting
-            depth = len(waiting)
-            if depth < self.queue_capacity:
-                waiting.append(row)
-                if depth >= self._peak_queue:
-                    self._peak_queue = depth + 1
-            else:
-                self.rejected += 1
-                log.fail(row, self._err_queue_full, self._sim.now)
-                self.completed_rows += 1
-                self._sink(row, False)
+            self.submit_trusted_row(row)
 
     def submit_trusted_row(self, row: int) -> None:
         """:meth:`submit_row` minus the payload check.
@@ -522,36 +551,32 @@ class MicroService:
         congested branch never reads the payload column at all.
         """
         if self._busy < self.concurrency:
+            # the uncongested accept runs once per simulated request, so
+            # _start_row is inlined: the call alone costs as much as the
+            # buffer bookkeeping
             log = self._log
             payload_id = log.v_payload_ids[row]
             self._busy += 1
             now = self._sim.now
             log.v_start[row] = now
+            self._inflight.add(row)
             if payload_id == self._st_last_id:
                 buffer = self._st_last_buf
             else:
-                buffer = self._st_buffers.get(payload_id)
-                if buffer is None:
-                    buffer = _SampleBuffer()
-                    self._st_buffers[payload_id] = buffer
-                self._st_last_id = payload_id
-                self._st_last_buf = buffer
+                buffer = self._buffer(payload_id)
             pos = buffer.pos
             values = buffer.values
             if pos >= len(values):
-                values = self.service_time.sample_batch(
-                    log.payload_name(payload_id), SERVICE_TIME_BATCH
-                ).tolist()
-                buffer.values = values
+                values = self._refill(buffer, payload_id)
                 pos = 0
             buffer.pos = pos + 1
             _heappush(
                 self._sim_queue,
                 (
-                    now + values[pos],
+                    now + values[pos] * self._slow,
                     next(self._sim_counter),
                     self._finish_cb,
-                    row,
+                    self._tag + row,
                 ),
             )
         else:
@@ -563,10 +588,121 @@ class MicroService:
                     self._peak_queue = depth + 1
             else:
                 self.rejected += 1
-                log = self._log
-                log.fail(row, self._err_queue_full, self._sim.now)
-                self.completed_rows += 1
-                self._sink(row, False)
+                self._fail(row, self._err_queue_full)
+
+    def _fail(self, row: int, code: int) -> None:
+        """Typed-fail a row now and report it to the sink."""
+        self._log.fail(row, code, self._sim.now)
+        self.failed_rows += 1
+        self._sink(self, row, False)
+
+    def _fail_unsupported(self, row: int, payload_id: int) -> None:
+        code = self._err_unsupported.get(payload_id)
+        if code is None:
+            log = self._log
+            payload = log.payload_name(payload_id)
+            code = log.intern_error(f"unsupported payload {payload!r}")
+            self._err_unsupported[payload_id] = code
+        self._fail(row, code)
+
+    def _buffer(self, payload_id: int) -> _SampleBuffer:
+        """The payload's service-time buffer, cached as the last one used."""
+        buffer = self._st_buffers.get(payload_id)
+        if buffer is None:
+            buffer = _SampleBuffer()
+            self._st_buffers[payload_id] = buffer
+        self._st_last_id = payload_id
+        self._st_last_buf = buffer
+        return buffer
+
+    def _refill(self, buffer: _SampleBuffer, payload_id: int) -> List[float]:
+        values = self.service_time.sample_batch(
+            self._log.payload_name(payload_id), SERVICE_TIME_BATCH
+        ).tolist()
+        buffer.values = values
+        return values
+
+    def _sample_service(self, payload_id: int) -> float:
+        """One service-time draw off the pre-sampled buffers."""
+        if payload_id == self._st_last_id:
+            buffer = self._st_last_buf
+        else:
+            buffer = self._buffer(payload_id)
+        pos = buffer.pos
+        values = buffer.values
+        if pos >= len(values):
+            values = self._refill(buffer, payload_id)
+            pos = 0
+        buffer.pos = pos + 1
+        return values[pos]
+
+    def _start_row(self, row: int) -> None:
+        """Serve a row on a claimed worker (the queue-drain path)."""
+        log = self._log
+        now = self._sim.now
+        log.v_start[row] = now
+        self._inflight.add(row)
+        draw = self._sample_service(log.v_payload_ids[row])
+        _heappush(
+            self._sim_queue,
+            (
+                now + draw * self._slow,
+                next(self._sim_counter),
+                self._finish_cb,
+                self._tag + row,
+            ),
+        )
+
+    def _finish_row(self, token: int) -> None:
+        tag = self._tag
+        row = token - tag
+        if row < 0:
+            # scheduled before a crash: the row was handed back already
+            self.stale_completions += 1
+            return
+        self._inflight.discard(row)
+        # the sink stamps ``end`` (with the response leg folded in), so
+        # the service does not write the column here
+        now = self._sim.now
+        log = self._log
+        self._busy_seconds += now - log.v_start[row]
+        self.completed_rows += 1
+        # _release_worker, with the row-entry case inlined: a saturated
+        # run drains a queued row on nearly every completion, and the
+        # worker simply stays busy
+        waiting = self._waiting
+        if waiting and self._busy <= self.concurrency:
+            entry = waiting.popleft()
+            if type(entry) is int:
+                log.v_start[entry] = now
+                self._inflight.add(entry)
+                payload_id = log.v_payload_ids[entry]
+                if payload_id == self._st_last_id:
+                    buffer = self._st_last_buf
+                else:
+                    buffer = self._buffer(payload_id)
+                pos = buffer.pos
+                values = buffer.values
+                if pos >= len(values):
+                    values = self._refill(buffer, payload_id)
+                    pos = 0
+                buffer.pos = pos + 1
+                _heappush(
+                    self._sim_queue,
+                    (
+                        now + values[pos] * self._slow,
+                        next(self._sim_counter),
+                        self._finish_cb,
+                        tag + entry,
+                    ),
+                )
+            else:
+                self._start_entry(entry)
+        else:
+            self._busy -= 1
+        self._sink(self, row, True)
+
+    # -- serving mode: micro-batcher + admission control ---------------------
 
     def configure_serving(self, policy: ServingPolicy) -> None:
         """Enable micro-batched dispatch + admission control (DESIGN §15).
@@ -592,23 +728,13 @@ class MicroService:
 
     def submit_row_serving(self, row: int) -> None:
         """Accept, batch, or shed a columnar request at the current time."""
-        log = self._log
-        payload_id = log.v_payload_ids[row]
+        payload_id = self._log.v_payload_ids[row]
         if payload_id not in self._supported_ids:
-            code = self._err_unsupported.get(payload_id)
-            if code is None:
-                payload = log.payload_name(payload_id)
-                code = log.intern_error(f"unsupported payload {payload!r}")
-                self._err_unsupported[payload_id] = code
-            log.fail(row, code, self._sim.now)
-            self.completed_rows += 1
-            self._sink(row, False)
+            self._fail_unsupported(row, payload_id)
             return
         if self._srv_shed_depth and self._srv_queued >= self._srv_shed_depth:
             self.shed_rows += 1
-            log.fail(row, self._err_shed, self._sim.now)
-            self.completed_rows += 1
-            self._sink(row, False)
+            self._fail(row, self._err_shed)
             return
         pending = self._srv_pending.get(payload_id)
         if pending is None:
@@ -644,6 +770,7 @@ class MicroService:
             self._dispatch_pool_batch(batch)
             return
         if self._busy < self.concurrency:
+            self._busy += 1
             self._start_batch(batch)
             return
         waiting = self._waiting
@@ -655,140 +782,77 @@ class MicroService:
             if depth >= self._peak_queue:
                 self._peak_queue = depth + 1
             return
-        log = self._log
-        now = self._sim.now
-        code = self._err_queue_full
         n = len(batch)
         self.rejected += n
         self._srv_queued -= n
-        self.completed_rows += n
-        sink = self._sink
+        code = self._err_queue_full
         for row in batch:
-            log.fail(row, code, now)
-            sink(row, False)
+            self._fail(row, code)
 
-    def _start_batch(self, batch: list) -> None:
-        """Start one fused batch on a freed worker (one draw, n rows)."""
-        self._busy += 1
-        log = self._log
-        now = self._sim.now
+    def _open_batch(self, batch: list, now: float) -> None:
+        """Count a flushed batch as started and stamp its rows."""
         n = len(batch)
         self._srv_queued -= n
+        v_start = self._log.v_start
         for row in batch:
-            log.v_start[row] = now
-        payload_id = log.v_payload_ids[batch[0]]
-        if payload_id == self._st_last_id:
-            buffer = self._st_last_buf
-        else:
-            buffer = self._st_buffers.get(payload_id)
-            if buffer is None:
-                buffer = _SampleBuffer()
-                self._st_buffers[payload_id] = buffer
-            self._st_last_id = payload_id
-            self._st_last_buf = buffer
-        pos = buffer.pos
-        values = buffer.values
-        if pos >= len(values):
-            values = self.service_time.sample_batch(
-                log.payload_name(payload_id), SERVICE_TIME_BATCH
-            ).tolist()
-            buffer.values = values
-            pos = 0
-        buffer.pos = pos + 1
-        duration = values[pos] * (1.0 + (n - 1) * self._srv_marginal)
+            v_start[row] = now
         self.batches_flushed += 1
         self.rows_batched += n
         if n > self.batch_size_peak:
             self.batch_size_peak = n
+
+    def _batch_seconds(self, batch: list) -> float:
+        """One fused call: a single draw, scaled sublinearly in rows."""
+        return (
+            self._sample_service(self._log.v_payload_ids[batch[0]])
+            * self._slow
+            * (1.0 + (len(batch) - 1) * self._srv_marginal)
+        )
+
+    def _start_batch(self, batch: list) -> None:
+        """Run one fused batch on a claimed worker (one draw, n rows)."""
+        now = self._sim.now
+        self._open_batch(batch, now)
+        self._inflight.update(batch)
         _heappush(
             self._sim_queue,
             (
-                now + duration,
+                now + self._batch_seconds(batch),
                 next(self._sim_counter),
                 self._finish_batch_cb,
-                batch,
+                (self._epoch, batch),
             ),
         )
 
-    def _finish_batch(self, batch: list) -> None:
-        now = self._sim.now
-        log = self._log
+    def _finish_batch(self, token) -> None:
+        epoch, batch = token
+        if epoch != self._epoch:
+            # scheduled before a crash: every row was handed back already
+            self.stale_completions += len(batch)
+            return
+        # one discard per row: difference_update may resize the set,
+        # which would reorder the rows a later crash() hands back
+        inflight = self._inflight
+        for row in batch:
+            inflight.discard(row)
         # one worker held for the whole fused call
-        self._busy_seconds += now - log.v_start[batch[0]]
+        self._busy_seconds += self._sim.now - self._log.v_start[batch[0]]
         self.completed_rows += len(batch)
-        self._busy -= 1
-        waiting = self._waiting
-        while self._busy < self.concurrency and waiting:
-            entry = waiting.popleft()
-            if type(entry) is list:
-                self._start_batch(entry)
-            elif type(entry) is int:
-                self._start_row(entry)
-            else:
-                self._start(
-                    entry[0], self._sim, entry[1], entry[2], entry[3], entry[4]
-                )
+        self._release_worker()
         sink = self._sink
         for row in batch:
-            sink(row, True)
-
-    def serving_event(self, at: float):
-        """Batching/shedding counters as a telemetry event.
-
-        ``value`` is the mean rows per fused kernel call; flush-trigger
-        splits, the batch-size peak and the shed count ride in ``attrs``
-        so serving efficiency lands on the same bus → WAL → rollup
-        stream as utilisation.
-        """
-        from repro.telemetry.events import KIND_SERVING, TelemetryEvent
-
-        batches = self.batches_flushed
-        return TelemetryEvent(
-            source=f"serving:{self.name}",
-            value=self.rows_batched / batches if batches else 0.0,
-            timestamp=at,
-            kind=KIND_SERVING,
-            attrs={
-                "batches": float(batches),
-                "rows": float(self.rows_batched),
-                "by_size": float(self.flushed_by_size),
-                "by_deadline": float(self.flushed_by_deadline),
-                "peak": float(self.batch_size_peak),
-                "shed": float(self.shed_rows),
-            },
-        )
+            sink(self, row, True)
 
     # -- simulated kernel pool (policy.pool_workers > 0) ---------------------
     #
     # The discrete-event mirror of repro.pool: flushed batches occupy
     # pool workers, not station workers, so the station's event loop
     # (admission, coalescing, window timers) overlaps with kernel
-    # execution.  A pool-worker crash re-dispatches its oldest in-flight
-    # batch onto the instantly-restarted worker with a fresh service
-    # draw; the orphaned completion callback finds its dispatch id gone
-    # and does nothing, so no row is ever lost or double-counted.
-
-    def _sample_service(self, payload_id: int) -> float:
-        """One service-time draw off the pre-sampled buffers."""
-        if payload_id == self._st_last_id:
-            buffer = self._st_last_buf
-        else:
-            buffer = self._st_buffers.get(payload_id)
-            if buffer is None:
-                buffer = _SampleBuffer()
-                self._st_buffers[payload_id] = buffer
-            self._st_last_id = payload_id
-            self._st_last_buf = buffer
-        pos = buffer.pos
-        values = buffer.values
-        if pos >= len(values):
-            values = self.service_time.sample_batch(
-                self._log.payload_name(payload_id), SERVICE_TIME_BATCH
-            ).tolist()
-            buffer.values = values
-            pos = 0
-        buffer.pos = pos + 1
-        return values[pos]
+    # execution.  Pool completions carry a dispatch id instead of the
+    # epoch: a pool-worker crash re-dispatches its oldest in-flight
+    # batch under a fresh id, a station crash clears the in-flight map,
+    # and either way the orphaned completion finds its id gone and does
+    # nothing, so no row is ever lost or double-counted.
 
     def _dispatch_pool_batch(self, batch: list) -> None:
         """Route one flushed batch to the pool tier (park if saturated).
@@ -811,36 +875,28 @@ class MicroService:
         ``resubmit`` re-dispatches a crash-orphaned batch: the rows were
         already started and counted, so only a fresh completion is
         scheduled — telemetry never double-counts a resubmission.
+        Dispatch ids are monotonic and never reused, so an orphaned
+        completion can only miss the in-flight map, never collide with a
+        later batch.
         """
-        log = self._log
         now = self._sim.now
-        n = len(batch)
         if not resubmit:
             self._pool_busy += 1
-            self._srv_queued -= n
-            for row in batch:
-                log.v_start[row] = now
             # a pooled batch is still one fused serving batch — the
             # serving counters stay comparable across pool on/off runs
-            self.batches_flushed += 1
-            self.rows_batched += n
+            self._open_batch(batch, now)
             self.pool_batches += 1
-            self.pool_rows += n
-            if n > self.batch_size_peak:
-                self.batch_size_peak = n
+            self.pool_rows += len(batch)
         inflight = len(self._pool_inflight) + 1
         if inflight > self.pool_peak_inflight:
             self.pool_peak_inflight = inflight
-        duration = self._sample_service(
-            log.v_payload_ids[batch[0]]
-        ) * (1.0 + (n - 1) * self._srv_marginal)
         self._pool_seq += 1
         dispatch_id = self._pool_seq
         self._pool_inflight[dispatch_id] = (batch, now)
         _heappush(
             self._sim_queue,
             (
-                now + duration,
+                now + self._batch_seconds(batch),
                 next(self._sim_counter),
                 self._finish_pool_batch_cb,
                 dispatch_id,
@@ -850,8 +906,8 @@ class MicroService:
     def _finish_pool_batch(self, dispatch_id: int) -> None:
         entry = self._pool_inflight.pop(dispatch_id, None)
         if entry is None:
-            # the worker crashed mid-batch; the batch already went back
-            # out under a new dispatch id
+            # orphaned: a pool-worker crash resubmitted the batch under a
+            # new id, or a station crash handed its rows back
             return
         batch, started = entry
         now = self._sim.now
@@ -862,7 +918,7 @@ class MicroService:
             self._start_pool_batch(self._pool_waiting.popleft())
         sink = self._sink
         for row in batch:
-            sink(row, True)
+            sink(self, row, True)
 
     def crash_pool_worker(self) -> int:
         """Kill one pool worker; returns rows re-dispatched.
@@ -883,148 +939,74 @@ class MicroService:
         self._start_pool_batch(batch, resubmit=True)
         return len(batch)
 
-    def pool_event(self, at: float):
-        """Pool queue depth + fan-out counters as a telemetry event.
-
-        ``value`` is the pool backlog (in-flight + parked batches);
-        worker occupancy, fan-out and the crash/resubmit ledger ride in
-        ``attrs`` so the POOL dashboard panel reads one source per
-        station.
-        """
-        from repro.telemetry.events import KIND_POOL, TelemetryEvent
-
-        batches = self.pool_batches
-        return TelemetryEvent(
-            source=f"pool:{self.name}",
-            value=float(len(self._pool_inflight) + len(self._pool_waiting)),
-            timestamp=at,
-            kind=KIND_POOL,
-            attrs={
-                "workers": float(self._pool_workers),
-                "busy": float(self._pool_busy),
-                "queued": float(len(self._pool_waiting)),
-                "batches": float(batches),
-                "rows": float(self.pool_rows),
-                "mean_fan_out": (
-                    self.pool_rows / batches if batches else 0.0
-                ),
-                "peak_inflight": float(self.pool_peak_inflight),
-                "crashes": float(self.pool_crashes),
-                "restarts": float(self.pool_restarts),
-                "resubmitted": float(self.pool_resubmitted),
-                "busy_seconds": self._pool_busy_seconds,
-            },
-        )
-
     @property
     def pool_backlog(self) -> int:
         """In-flight plus parked pool batches (the POOL panel's value)."""
         return len(self._pool_inflight) + len(self._pool_waiting)
 
-    def _start_row(self, row: int) -> None:
-        """Start a queued row on a freed worker (queue-drain path)."""
-        self._busy += 1
-        sim = self._sim
-        self._log.v_start[row] = sim.now
-        payload_id = self._log.v_payload_ids[row]
-        if payload_id == self._st_last_id:
-            buffer = self._st_last_buf
-        else:
-            buffer = self._st_buffers.get(payload_id)
-            if buffer is None:
-                buffer = _SampleBuffer()
-                self._st_buffers[payload_id] = buffer
-            self._st_last_id = payload_id
-            self._st_last_buf = buffer
-        pos = buffer.pos
-        values = buffer.values
-        if pos >= len(values):
-            values = self.service_time.sample_batch(
-                self._log.payload_name(payload_id), SERVICE_TIME_BATCH
-            ).tolist()
-            buffer.values = values
-            pos = 0
-        buffer.pos = pos + 1
-        sim.schedule_call(values[pos], self._finish_cb, row)
+    @property
+    def pool_busy_seconds(self) -> float:
+        """Cumulative pool-worker-seconds spent on completed batches."""
+        return self._pool_busy_seconds
 
-    def _finish_row(self, row: int) -> None:
-        # the sink stamps ``end`` (with the response leg folded in), so
-        # the service does not write the column here
-        now = self._sim.now
-        log = self._log
-        self._busy_seconds += now - log.v_start[row]
-        self.completed_rows += 1
-        # same invariant as the record path: freed worker goes to the
-        # queue head before the completion sink runs.  A saturated run
-        # drains a queued row on nearly every completion, so the
-        # row-entry case is _start_row inlined (stamp, buffer cursor,
-        # completion push) and the worker stays busy — the decrement /
-        # re-increment pair cancels out; record entries and the empty
-        # queue release the worker before handing off.
-        waiting = self._waiting
-        if waiting:
-            entry = waiting.popleft()
-            if type(entry) is int:
-                log.v_start[entry] = now
-                payload_id = log.v_payload_ids[entry]
-                if payload_id == self._st_last_id:
-                    buffer = self._st_last_buf
-                else:
-                    buffer = self._st_buffers.get(payload_id)
-                    if buffer is None:
-                        buffer = _SampleBuffer()
-                        self._st_buffers[payload_id] = buffer
-                    self._st_last_id = payload_id
-                    self._st_last_buf = buffer
-                pos = buffer.pos
-                values = buffer.values
-                if pos >= len(values):
-                    values = self.service_time.sample_batch(
-                        log.payload_name(payload_id), SERVICE_TIME_BATCH
-                    ).tolist()
-                    buffer.values = values
-                    pos = 0
-                buffer.pos = pos + 1
-                _heappush(
-                    self._sim_queue,
-                    (
-                        now + values[pos],
-                        next(self._sim_counter),
-                        self._finish_cb,
-                        entry,
-                    ),
-                )
-            elif type(entry) is list:
-                self._busy -= 1
-                self._start_batch(entry)
-            else:
-                self._busy -= 1
-                self._start(
-                    entry[0], self._sim, entry[1], entry[2], entry[3], entry[4]
-                )
-        else:
-            self._busy -= 1
-        self._sink(row, True)
+    # -- fault surface (cluster nodes) ---------------------------------------
 
-    def set_concurrency(self, target: int, sim: Simulator) -> None:
-        """Re-provision the worker pool (autoscaling, §V dynamic capacity).
+    def crash(self) -> List[int]:
+        """Invalidate the station: return every row it owned, for failover.
 
-        Growing the pool immediately starts queued requests on the new
-        workers; shrinking only lowers the cap — in-flight requests finish,
-        and the pool drains down as they complete.
+        Bumping the epoch orphans every scheduled row and batch
+        completion (they arrive stale); in-flight, queued,
+        batch-pending and pooled rows are handed back to the caller to
+        retry elsewhere or typed-fail.  Only the columnar paths are
+        covered: record-path requests (the single-node traced path) are
+        never crashed.
         """
-        if target < 1:
-            raise ValueError("concurrency must be >= 1")
-        self.concurrency = target
-        # drain strictly from the head so FIFO arrival order is preserved
-        while self._busy < self.concurrency and self._waiting:
-            entry = self._waiting.popleft()
-            if type(entry) is int:
-                self._start_row(entry)
-            elif type(entry) is list:
-                self._start_batch(entry)
+        self._epoch += 1
+        self._tag = self._epoch << 32
+        lost = list(self._inflight)
+        for entry in self._waiting:
+            if type(entry) is list:
+                lost.extend(entry)
             else:
-                self._start(entry[0], sim, entry[1], entry[2], entry[3], entry[4])
+                lost.append(entry)
+        # unflushed coalescing groups die with the station; bumping each
+        # payload epoch orphans their pending window timers
+        for payload_id, pending in self._srv_pending.items():
+            if pending:
+                lost.extend(pending)
+                self._srv_pending[payload_id] = []
+            self._srv_epoch[payload_id] += 1
+        self._srv_queued = 0
+        # pool tier: in-flight and parked pool batches die with the
+        # station (their orphaned completions find their dispatch ids gone)
+        for batch, _started in self._pool_inflight.values():
+            lost.extend(batch)
+        for batch in self._pool_waiting:
+            lost.extend(batch)
+        self._pool_inflight.clear()
+        self._pool_waiting.clear()
+        self._pool_busy = 0
+        self._inflight.clear()
+        self._waiting.clear()
+        self._busy = 0
+        return lost
+
+    def set_slow(self, factor: float) -> None:
+        """Degrade (or restore, with 1.0) the station's service times."""
+        if factor <= 0:
+            raise ValueError("slow factor must be positive")
+        self._slow = factor
+
+    @property
+    def epoch(self) -> int:
+        return self._epoch
+
+    @property
+    def inflight_rows(self) -> int:
+        """Rows on station workers right now (pooled batches excluded)."""
+        return len(self._inflight)
+
+    # -- introspection and telemetry -----------------------------------------
 
     @property
     def busy_workers(self) -> int:
@@ -1064,6 +1046,8 @@ class MicroService:
         """
         from repro.telemetry.events import KIND_UTILIZATION, TelemetryEvent
 
+        completed = len(self.completed) + self.completed_rows
+        completed += self.failed_rows
         return TelemetryEvent(
             source=self.name,
             value=self.utilization(elapsed_seconds),
@@ -1075,7 +1059,7 @@ class MicroService:
                 "queue_length": float(len(self._waiting)),
                 "peak_queue_length": float(self._peak_queue),
                 "rejected": float(self.rejected),
-                "completed": float(len(self.completed) + self.completed_rows),
+                "completed": float(completed),
             },
         )
 
@@ -1084,3 +1068,104 @@ class MicroService:
     ) -> None:
         """Publish :meth:`utilization_event` to a pipeline or bus."""
         telemetry.publish(topic, self.utilization_event(elapsed_seconds))
+
+    def serving_counters(self) -> dict:
+        """Batching counters (plus the pool tier's, when it is on).
+
+        One station's entry in a runner's ``serving_summary``, shaped
+        for reports, the CLI and the dashboard's serving/POOL panels.
+        """
+        batches = self.batches_flushed
+        entry = {
+            "batches": batches,
+            "rows_batched": self.rows_batched,
+            "mean_batch": self.rows_batched / batches if batches else 0.0,
+            "by_size": self.flushed_by_size,
+            "by_deadline": self.flushed_by_deadline,
+            "peak_batch": self.batch_size_peak,
+            "shed_rows": self.shed_rows,
+        }
+        if self._pool_workers:
+            entry["pool"] = {
+                "workers": self._pool_workers,
+                "batches": self.pool_batches,
+                "rows": self.pool_rows,
+                "crashes": self.pool_crashes,
+                "restarts": self.pool_restarts,
+                "resubmitted": self.pool_resubmitted,
+                "peak_inflight": self.pool_peak_inflight,
+            }
+        return entry
+
+    def _station_event(self, family: str, value: float, at, kind, attrs):
+        """A ``<family>:<route>`` event; node-bound stations publish
+        ``<family>:<route>@<node>`` with a ``node_id`` label, so rollups
+        shard per node."""
+        from repro.telemetry.events import TelemetryEvent
+
+        node = self.node
+        if node is None:
+            return TelemetryEvent(
+                f"{family}:{self.name}", value, at, kind, attrs
+            )
+        event = TelemetryEvent(
+            f"{family}:{self.name}@{node.node_id}", value, at, kind, attrs
+        )
+        return event.with_node(node.node_id)
+
+    def serving_event(self, at: float):
+        """Batching/shedding counters as a telemetry event.
+
+        ``value`` is the mean rows per fused kernel call; flush-trigger
+        splits, the batch-size peak and the shed count ride in ``attrs``
+        so serving efficiency lands on the same bus → WAL → rollup
+        stream as utilisation.
+        """
+        from repro.telemetry.events import KIND_SERVING
+
+        batches = self.batches_flushed
+        return self._station_event(
+            "serving",
+            self.rows_batched / batches if batches else 0.0,
+            at,
+            KIND_SERVING,
+            {
+                "batches": float(batches),
+                "rows": float(self.rows_batched),
+                "by_size": float(self.flushed_by_size),
+                "by_deadline": float(self.flushed_by_deadline),
+                "peak": float(self.batch_size_peak),
+                "shed": float(self.shed_rows),
+            },
+        )
+
+    def pool_event(self, at: float):
+        """Pool queue depth + fan-out counters as a telemetry event.
+
+        ``value`` is the pool backlog (in-flight + parked batches);
+        worker occupancy, fan-out and the crash/resubmit ledger ride in
+        ``attrs`` so the POOL dashboard panel reads one source per
+        station.
+        """
+        from repro.telemetry.events import KIND_POOL
+
+        batches = self.pool_batches
+        return self._station_event(
+            "pool",
+            float(self.pool_backlog),
+            at,
+            KIND_POOL,
+            {
+                "workers": float(self._pool_workers),
+                "busy": float(self._pool_busy),
+                "queued": float(len(self._pool_waiting)),
+                "batches": float(batches),
+                "rows": float(self.pool_rows),
+                "mean_fan_out": self.pool_rows / batches if batches else 0.0,
+                "peak_inflight": float(self.pool_peak_inflight),
+                "crashes": float(self.pool_crashes),
+                "restarts": float(self.pool_restarts),
+                "resubmitted": float(self.pool_resubmitted),
+                "busy_seconds": self._pool_busy_seconds,
+            },
+        )

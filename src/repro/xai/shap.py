@@ -16,7 +16,8 @@ are a per-size table lookup, and mask enumeration is arithmetic on an
 batch through one shared coalition sample and one KKT solve whose
 factorisation is reused across every instance and output column.  The
 per-coalition loop implementation is preserved verbatim in
-``repro.xai._reference`` as the equivalence oracle for tests and benches.
+``tests/xai/reference_shap.py`` as the equivalence oracle for tests and
+benches.
 """
 
 from __future__ import annotations

@@ -11,8 +11,10 @@ import pytest
 from repro.cluster.faults import FaultPlan
 from repro.cluster.runner import ClusterRunner
 from repro.cluster.topology import ClusterTopology, RouteSpec
+from repro.gateway.arrivals import PoissonArrivalGroup
 from repro.gateway.loadgen import ThreadGroup
 from repro.gateway.simulation import Simulator
+from repro.serving import ServingPolicy
 
 #: The only error messages allowed to *finalise* a request; transient
 #: crash/partition losses must always be retried, never surfaced.
@@ -147,9 +149,48 @@ def test_queue_overflow_fails_over_to_the_replica():
     _saturate(runner, threads=30, iterations=10)
     runner.run()
     cons = runner.conservation()
-    assert service.rejected_rows > 0
+    assert service.rejected > 0
     assert cons["failovers"] > 0
     assert cons["observed"] == cons["appended"] == 300
     # rejections either landed on the replica or finalised typed — the
     # rejection count is fully accounted for, nothing vanished
-    assert cons["failovers"] + cons["final_failures"] >= service.rejected_rows
+    assert cons["failovers"] + cons["final_failures"] >= service.rejected
+
+
+@pytest.mark.parametrize(
+    "policy", [None, ServingPolicy(max_batch=4, batch_window=0.005)]
+)
+def test_unsupported_payload_is_a_final_typed_failure(policy):
+    """A payload the route cannot serve fails typed, once, with no retry:
+    every replica runs the route's one RouteSpec, so failing over would
+    only fail again.  The run completes instead of raising."""
+    __, runner = _cluster(trace_every=4, serving=policy)
+    runner.add_open_loop(
+        PoissonArrivalGroup("shap", rate_rps=200.0, n_requests=50)
+    )
+    runner.add_open_loop(
+        PoissonArrivalGroup(
+            "shap", rate_rps=100.0, n_requests=20, payload="image"
+        )
+    )
+    runner.add_thread_group(
+        ThreadGroup(
+            "shap", 2, rampup_seconds=0.0, iterations=5, payload="image"
+        )
+    )
+    report = runner.run()
+    cons = runner.conservation()
+    assert cons["appended"] == cons["observed"] == 80
+    assert cons["in_flight"] == 0
+    assert cons["failovers"] == 0
+    assert cons["final_failures"] == report.n_errors == 30
+    failed = [r for r in runner.records() if not r.success]
+    assert {r.request.payload for r in failed} == {"image"}
+    assert {r.error for r in failed} == {"unsupported payload 'image'"}
+    # traced unsupported requests end in one failover span naming the cause
+    errors = {
+        span.status_message
+        for span in runner.collector.all_spans()
+        if span.name == "cluster.failover"
+    }
+    assert errors == {"unsupported payload 'image'"}

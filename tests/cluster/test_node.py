@@ -1,4 +1,4 @@
-"""NodeService epoch guard + ClusterNode lifecycle state machine."""
+"""Station epoch guard on a cluster node + ClusterNode lifecycle."""
 
 import pytest
 
@@ -7,10 +7,9 @@ from repro.cluster.node import (
     NODE_DRAINING,
     NODE_UP,
     ClusterNode,
-    NodeService,
 )
 from repro.gateway.records import RecordLog
-from repro.gateway.services import ServiceTimeModel
+from repro.gateway.services import MicroService, ServiceTimeModel
 from repro.gateway.simulation import Simulator
 
 
@@ -18,16 +17,16 @@ def _station(concurrency=2, queue_capacity=4, seed=7):
     sim = Simulator()
     log = RecordLog(initial_capacity=64)
     node = ClusterNode("node-0")
-    service = NodeService(
+    service = MicroService(
         "shap",
-        node,
+        None,
         ServiceTimeModel({"tabular": 0.01}, seed=seed),
         concurrency=concurrency,
         queue_capacity=queue_capacity,
     )
     node.add_service(service)
     done = []
-    service.bind(log, sim, lambda svc, row, ok: done.append((row, ok)))
+    service.use_columnar(log, sim, lambda svc, row, ok: done.append((row, ok)))
     return sim, log, service, done
 
 
@@ -62,7 +61,7 @@ def test_queue_overflow_is_a_typed_rejection_not_a_drop():
     rows = _submit(log, service, 3)
     overflow = rows[2]
     # the third row was typed-failed synchronously
-    assert service.rejected_rows == 1
+    assert service.rejected == 1
     assert (overflow, False) in done
     assert not log.v_ok[overflow]
     code = int(log.v_error_codes[overflow])
@@ -126,12 +125,12 @@ def test_station_validation():
     node = ClusterNode("node-0")
     model = ServiceTimeModel({"tabular": 0.01}, seed=0)
     with pytest.raises(ValueError):
-        NodeService("shap", node, model, concurrency=0)
+        MicroService("shap", None, model, concurrency=0)
     with pytest.raises(ValueError):
-        NodeService("shap", node, model, concurrency=1, queue_capacity=-1)
-    node.add_service(NodeService("shap", node, model, concurrency=1))
+        MicroService("shap", None, model, concurrency=1, queue_capacity=-1)
+    node.add_service(MicroService("shap", None, model, concurrency=1))
     with pytest.raises(ValueError):
-        node.add_service(NodeService("shap", node, model, concurrency=1))
+        node.add_service(MicroService("shap", None, model, concurrency=1))
 
 
 # -- ClusterNode state machine ------------------------------------------------

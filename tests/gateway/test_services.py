@@ -274,6 +274,50 @@ class TestDequeDrainOrder:
         assert len(service.completed) == 8
         assert service.busy_workers == 0
 
+    #: 4 workers, 12 one-second jobs, cap lowered to 1 at t=0: the four
+    #: running jobs end at t=1 and retire three workers; the last one
+    #: then serves the backlog one job per second until t=9.
+    SHRINK_ENDS = [1.0] * 4 + [float(t) for t in range(2, 10)]
+    SHRINK_BUSY = [3, 2, 1] + [1] * 8 + [0]
+
+    def test_shrink_with_backlog_retires_workers_row_path(self):
+        from repro.gateway.records import RecordLog
+
+        service = make_service(concurrency=4, base=1.0, queue_capacity=100)
+        sim = Simulator()
+        log = RecordLog(initial_capacity=16, retain=True)
+        ends, busy = [], []
+
+        def sink(svc, row, ok):
+            ends.append(sim.now)
+            busy.append(svc.busy_workers)
+
+        service.use_columnar(log, sim, sink)
+        route_id = log.intern_route("svc")
+        payload_id = log.intern_payload("tabular")
+        for _ in range(12):
+            service.submit_row(log.append(route_id, payload_id, 0.0))
+        service.set_concurrency(1, sim)
+        sim.run()
+        assert ends == self.SHRINK_ENDS
+        assert busy == self.SHRINK_BUSY
+
+    def test_shrink_with_backlog_retires_workers_record_path(self):
+        service = make_service(concurrency=4, base=1.0, queue_capacity=100)
+        sim = Simulator()
+        ends, busy = [], []
+
+        def done(record):
+            ends.append(record.end)
+            busy.append(service.busy_workers)
+
+        for i in range(12):
+            service.submit(Request(request_id=i, route="svc"), sim, done)
+        service.set_concurrency(1, sim)
+        sim.run()
+        assert ends == self.SHRINK_ENDS
+        assert busy == self.SHRINK_BUSY
+
     def test_mixed_record_and_row_entries_drain_in_arrival_order(self):
         from repro.gateway.records import RecordLog
 
@@ -281,7 +325,9 @@ class TestDequeDrainOrder:
         sim = Simulator()
         log = RecordLog(initial_capacity=8, retain=True)
         completions = []
-        service.use_columnar(log, sim, lambda row, ok: completions.append(("row", row)))
+        service.use_columnar(
+            log, sim, lambda svc, row, ok: completions.append(("row", row))
+        )
         route_id = log.intern_route("svc")
         payload_id = log.intern_payload("tabular")
 
@@ -315,7 +361,7 @@ class TestDequeDrainOrder:
         sim = Simulator()
         log = RecordLog(initial_capacity=8, retain=True)
         done = []
-        service.use_columnar(log, sim, lambda row, ok: done.append(row))
+        service.use_columnar(log, sim, lambda svc, row, ok: done.append(row))
         route_id = log.intern_route("svc")
         payload_id = log.intern_payload("tabular")
         rows = [log.append(route_id, payload_id, 0.0) for _ in range(5)]

@@ -1,7 +1,7 @@
 """Equivalence contract of the vectorized Kernel SHAP engine.
 
 The single-call batched engine must reproduce the per-coalition loop
-reference (``repro.xai._reference``) given the same seed: the coalition
+reference (``tests/xai/reference_shap.py``) given the same seed: the coalition
 masks are identical by construction (same RNG call sequence), so the only
 admissible differences are summation-order effects in the grouped mean —
 bounded far below 1e-8.  Efficiency (``base + Σφ ≈ f(x)``) is asserted
@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 from repro.ml import RandomForestClassifier
 from repro.ml.gbdt import xgboost_like
-from repro.xai._reference import loop_shap_values, loop_shap_values_batch
 from repro.xai.shap import (
     KernelShapExplainer,
     _enumerate_masks,
     _kernel_weights_by_size,
     exact_shap_values,
 )
+
+from tests.xai.reference_shap import loop_shap_values, loop_shap_values_batch
 
 
 def _softmax_predict(w):
