@@ -7,8 +7,14 @@ simulated second and every one becomes a telemetry event).  WAL write
 and replay rates, the production pipeline with a WAL directory (bus →
 WAL → rollups) and query latency are reported alongside, in events/s
 and µs/event, so regressions in any tier show up in the same table.
+
+A read-scaling gate keeps operator reads costing the range they show:
+the query half of a ``monitor-ingest`` read over the trailing 300 s may
+take at most 1.5x as long on a store holding 4,000 s of history as on
+one holding 300 s.
 """
 
+import statistics
 import time
 
 import pytest
@@ -25,6 +31,11 @@ from repro.telemetry import (
 
 N_EVENTS = 100_000
 SUSTAINED_FLOOR = 50_000  # events/s through bus + rollups
+READ_HISTORIES_S = (300, 4000)  # both within the default 4,096 retention
+READ_RANGE_S = 300.0
+READ_ROUNDS = 21
+READS_PER_ROUND = 10
+READ_SCALING_CEILING = 1.5  # long-history median / short-history median
 
 
 @pytest.fixture(scope="module")
@@ -157,5 +168,58 @@ def bench_rollup_memory_stays_bounded(check, loaded_rollups):
         stats = loaded_rollups.stats()
         retained = stats["open_windows"] + stats["closed_windows"]
         assert retained < N_EVENTS / 10
+
+    check(verify)
+
+
+def history_rollups(seconds):
+    """A store like ``loaded_rollups`` holding ``seconds`` of history:
+    8 sources, 10 events per source per 1 s window."""
+    agg = TumblingWindowAggregator(window_seconds=1.0, cascades=(10.0, 60.0))
+    for i in range(seconds * 80):
+        agg.ingest(
+            TelemetryEvent(
+                source=f"sensor-{i % 8}", value=(i % 100) / 100.0, timestamp=i / 80
+            )
+        )
+    agg.flush()
+    return agg
+
+
+def operator_query(query, now):
+    """The query half of a ``monitor-ingest`` operator read."""
+    query.windows(sources=["sensor-0"], start=now - READ_RANGE_S)
+    query.top_k(3, start=now - READ_RANGE_S, end=now, metric="p95", worst="highest")
+
+
+def bench_read_cost_follows_range_not_history(check, figure_printer):
+    """A trailing read's cost must not grow with the history retained."""
+    stores = [
+        (seconds, TelemetryQuery(rollups=history_rollups(seconds)))
+        for seconds in READ_HISTORIES_S
+    ]
+    timings = {seconds: [] for seconds in READ_HISTORIES_S}
+    for __ in range(READ_ROUNDS):  # alternate, so host drift hits both
+        for seconds, query in stores:
+            start = time.perf_counter()
+            for __ in range(READS_PER_ROUND):
+                operator_query(query, float(seconds))
+            timings[seconds].append(
+                (time.perf_counter() - start) / READS_PER_ROUND
+            )
+    medians = {s: statistics.median(t) * 1e3 for s, t in timings.items()}
+    short, long = (medians[s] for s in READ_HISTORIES_S)
+    figure_printer(
+        f"Operator read over the trailing {READ_RANGE_S:.0f} s",
+        ["history s", "median ms"],
+        [(f"{s}", m) for s, m in medians.items()],
+    )
+
+    def verify():
+        assert long <= READ_SCALING_CEILING * short, (
+            f"read on {READ_HISTORIES_S[1]} s of history took {long:.3f} ms, "
+            f"{long / short:.2f}x the {short:.3f} ms on "
+            f"{READ_HISTORIES_S[0]} s (ceiling {READ_SCALING_CEILING}x)"
+        )
 
     check(verify)

@@ -13,11 +13,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Callable, Dict, List, Optional
 
 from repro.core.sensors import SensorReading
 from repro.trust.properties import TrustProperty
 from repro.trust.score import TrustScore, aggregate_trust_score
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _nest(text: str, depth: int) -> str:
+    """Re-indent ``json.dumps(value, indent=2)`` to sit ``depth`` levels deep."""
+    return text.replace("\n", "\n" + "  " * depth)
 
 
 @dataclass
@@ -82,6 +90,9 @@ class AIDashboard:
             raise ValueError("history_limit must be >= 1")
         self.history_limit = history_limit
         self._series: Dict[str, List[SensorReading]] = {}
+        #: per sensor, the export JSON of the oldest readings of its
+        #: ``_series`` list, encoded at their first export (``to_json``)
+        self._encoded: Dict[str, List[str]] = {}
         self._rules: List[AlertRule] = []
         self._alerts: List[Alert] = []
         self._subscribers: List[Callable[[Alert], None]] = []
@@ -96,7 +107,11 @@ class AIDashboard:
         series = self._series.setdefault(reading.sensor, [])
         series.append(reading)
         if len(series) > self.history_limit:
-            del series[: len(series) - self.history_limit]
+            excess = len(series) - self.history_limit
+            del series[:excess]
+            encoded = self._encoded.get(reading.sensor)
+            if encoded:
+                del encoded[:excess]
         for rule in self._rules:
             if rule.triggered_by(reading):
                 alert = Alert(rule=rule, reading=reading)
@@ -205,12 +220,17 @@ class AIDashboard:
     def drift(self, sensor: str, window: int = 5) -> float:
         """Change of the mean value between the first and last ``window``
         readings; negative means the property degraded over time."""
-        values = self.values(sensor)
-        if len(values) < 2:
+        if sensor not in self._series:
+            raise KeyError(f"no readings for sensor {sensor!r}")
+        return self._drift(self._series[sensor], window)
+
+    @staticmethod
+    def _drift(series: List[SensorReading], window: int = 5) -> float:
+        if len(series) < 2:
             return 0.0
-        window = max(1, min(window, len(values) // 2 or 1))
-        head = sum(values[:window]) / window
-        tail = sum(values[-window:]) / window
+        window = max(1, min(window, len(series) // 2 or 1))
+        head = sum(r.value for r in series[:window]) / window
+        tail = sum(r.value for r in series[-window:]) / window
         return tail - head
 
     @staticmethod
@@ -296,22 +316,15 @@ class AIDashboard:
         """Audit export: every retained reading and alert, JSON-encoded.
 
         This is the dashboard's compliance artifact — "it facilitates the
-        verification of AI systems for potential audits" (§I).
+        verification of AI systems for potential audits" (§I).  The text
+        is ``json.dumps(payload, indent=2, sort_keys=True)`` of the
+        sections below, byte for byte.  Each reading is encoded once, at
+        its first export, and later exports splice that text in, so a
+        reading must not be mutated after :meth:`add_reading` (the
+        monitor hands the dashboard fresh copies).  A value ``json``
+        cannot encode raises here, at the reading's first export.
         """
-        payload = {
-            "sensors": {
-                name: [
-                    {
-                        "value": r.value,
-                        "property": r.property.value,
-                        "timestamp": r.timestamp,
-                        "model_version": r.model_version,
-                        "details": r.details,
-                    }
-                    for r in series
-                ]
-                for name, series in self._series.items()
-            },
+        sections = {
             "alerts": [
                 {
                     "sensor": a.rule.sensor,
@@ -322,9 +335,10 @@ class AIDashboard:
                 }
                 for a in self._alerts
             ],
+            "sensors": None,  # spliced from the per-reading cache below
         }
         if self._slo_status is not None:
-            payload["slo"] = {
+            sections["slo"] = {
                 "objectives": [
                     {
                         "slo": s.slo,
@@ -344,11 +358,47 @@ class AIDashboard:
             }
         if self._serving_summary is not None:
             summary = self._serving_summary()
-            payload["serving"] = {
+            sections["serving"] = {
                 "routes": self._serving_rows(summary),
                 "pool": self._pool_rows(summary),
             }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        # json's indented encoder nests by prefixing each new line, and an
+        # encoded JSON string holds no raw newline, so a value encoded on
+        # its own and re-indented is exactly its nested encoding
+        parts = []
+        for key in sorted(sections):
+            if key == "sensors":
+                text = self._sensors_json()
+            else:
+                text = _nest(json.dumps(sections[key], indent=2, sort_keys=True), 1)
+            parts.append(f'\n  "{key}": {text}')
+        return "{" + ",".join(parts) + "\n}"
+
+    def _sensors_json(self) -> str:
+        """The export's ``sensors`` section, nested one level deep."""
+        if not self._series:
+            return "{}"
+        entries = []
+        for name in sorted(self._series):
+            series = self._series[name]
+            encoded = self._encoded.setdefault(name, [])
+            for r in series[len(encoded) :]:
+                reading = {
+                    "value": r.value,
+                    "property": r.property.value,
+                    "timestamp": r.timestamp,
+                    "model_version": r.model_version,
+                    "details": r.details,
+                }
+                encoded.append(
+                    _nest(json.dumps(reading, indent=2, sort_keys=True), 3)
+                )
+            entries.append(
+                f"{_encode_str(name)}: [\n      "
+                + ",\n      ".join(encoded)
+                + "\n    ]"
+            )
+        return "{\n    " + ",\n    ".join(entries) + "\n  }"
 
     def render_text(self, width: int = 60) -> str:
         """Terminal rendering: one sparkline-style row per sensor + alerts."""
@@ -401,14 +451,20 @@ class AIDashboard:
                 )
             lines.append("=" * width)
         for name in self.sensors:
-            values = self.values(name)
-            latest = values[-1]
-            bar_len = int(round(latest * 20))
+            series = self._series[name]
+            latest = series[-1].value
+            # values outside [0, 1] fill or empty the track; a non-finite
+            # one draws no bar (its value column still says nan/inf)
+            bar_len = (
+                int(round(min(max(latest, 0.0), 1.0) * 20))
+                if isfinite(latest)
+                else 0
+            )
             bar = "#" * bar_len + "." * (20 - bar_len)
-            trend = self.drift(name)
+            trend = self._drift(series)
             arrow = "↑" if trend > 0.01 else ("↓" if trend < -0.01 else "→")
             lines.append(
-                f"{name:<24} [{bar}] {latest:5.3f} {arrow} ({len(values)} readings)"
+                f"{name:<24} [{bar}] {latest:5.3f} {arrow} ({len(series)} readings)"
             )
         pending = self.alerts()
         lines.append("-" * width)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.telemetry.events import TelemetryEvent
@@ -131,17 +132,23 @@ class TelemetryQuery:
         """Finalised windows, optionally time-bounded and resampled."""
         if self.rollups is None:
             raise RuntimeError("no hot rollup tier attached")
-        stats: List[WindowStat] = []
         names = (
             list(sources) if sources is not None else self.rollups.sources
         )
-        for name in names:
-            stats.extend(
-                self.rollups.windows(
-                    source=name, level=level, start=start, end=end
-                )
+        if len(names) == 1:
+            # one source's windows already come in (window_start) order
+            stats = self.rollups.windows(
+                source=names[0], level=level, start=start, end=end
             )
-        stats.sort(key=lambda s: (s.window_start, s.source))
+        else:
+            stats = []
+            for name in names:
+                stats.extend(
+                    self.rollups.windows(
+                        source=name, level=level, start=start, end=end
+                    )
+                )
+            stats.sort(key=lambda s: (s.window_start, s.source))
         if window_seconds is not None:
             stats = resample(stats, window_seconds)
         return stats
@@ -161,7 +168,8 @@ class TelemetryQuery:
         treats small values as bad (trust values, where 1.0 is healthy),
         ``"highest"`` treats large values as bad (latencies).  Windows are
         count-weighted so a source's score is its true per-event mean over
-        the range.
+        the range, summed in window order.  Tied scores rank by the
+        source's first window in the range, then by name.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -169,14 +177,27 @@ class TelemetryQuery:
             raise ValueError(f"unknown metric {metric!r}")
         if worst not in {"lowest", "highest"}:
             raise ValueError("worst must be 'lowest' or 'highest'")
-        weight: Dict[str, float] = defaultdict(float)
-        score: Dict[str, float] = defaultdict(float)
-        for stat in self.windows(level=level, start=start, end=end):
-            score[stat.source] += getattr(stat, metric) * stat.count
-            weight[stat.source] += stat.count
+        if self.rollups is None:
+            raise RuntimeError("no hot rollup tier attached")
+        value_of = attrgetter(metric)
+        scored: List[Tuple[float, str, float]] = []
+        for name in self.rollups.sources:
+            stats = self.rollups.windows(
+                source=name, level=level, start=start, end=end
+            )
+            if not stats:
+                continue
+            score = weight = 0.0
+            for stat in stats:
+                score += value_of(stat) * stat.count
+                weight += stat.count
+            scored.append((stats[0].window_start, name, score / weight))
+        # names come sorted, so a stable sort on the first window start
+        # gives the (first window, name) tie order
+        scored.sort(key=itemgetter(0))
         ranked = sorted(
-            ((name, score[name] / weight[name]) for name in score),
-            key=lambda pair: pair[1],
+            ((name, score) for __, name, score in scored),
+            key=itemgetter(1),
             reverse=(worst == "highest"),
         )
         return ranked[:k]

@@ -31,10 +31,13 @@ of equal zeros.  The two still compare equal.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from math import floor, inf
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -146,6 +149,50 @@ def _level0_stat(
     )
 
 
+_window_start_of = attrgetter("window_start")
+_start_then_source = attrgetter("window_start", "source")
+
+
+def _time_range(
+    series: Deque[WindowStat], start: Optional[float], end: Optional[float]
+) -> List[WindowStat]:
+    """The windows of a time-sorted series with ``start <= window_start <
+    end``, in series order.
+
+    Two bisects find the slice, which is copied from the deque's nearer
+    end (an ``islice`` from the left walks every window before it), so a
+    trailing range costs its own length however long the series is.  A
+    NaN bound filters nothing, as in :func:`_scan`.
+    """
+    lo = 0
+    hi = n = len(series)
+    if start is not None and start == start:
+        lo = bisect_left(series, start, key=_window_start_of)
+    if end is not None and end == end:
+        hi = bisect_left(series, end, lo, key=_window_start_of)
+    if hi <= lo:
+        return []
+    if hi <= n - lo:
+        return list(islice(series, lo, hi))
+    out = list(islice(reversed(series), n - hi, n - lo))
+    out.reverse()
+    return out
+
+
+def _scan(
+    series: Deque[WindowStat], start: Optional[float], end: Optional[float]
+) -> List[WindowStat]:
+    """:func:`_time_range` for a series that is not time-sorted."""
+    out = []
+    for stat in series:
+        if start is not None and stat.window_start < start:
+            continue
+        if end is not None and stat.window_start >= end:
+            continue
+        out.append(stat)
+    return out
+
+
 class TumblingWindowAggregator:
     """Multi-level tumbling-window rollup store.
 
@@ -199,6 +246,9 @@ class TumblingWindowAggregator:
         # finalised deques keyed source
         self._open: List[Dict[Tuple[str, float], list]] = [{} for __ in sizes]
         self._closed: List[Dict[str, Deque[WindowStat]]] = [{} for __ in sizes]
+        #: per level: sources whose deque is not sorted by window start
+        #: (see ``_finalize``); reads scan these instead of bisecting
+        self._unordered: List[Set[str]] = [set() for __ in sizes]
         #: level -> callbacks fired once per finalised window.  Empty for
         #: an unsubscribed aggregator, so the hot ingest path never pays
         #: for the feature (the check in ``_finalize`` is one truthiness
@@ -281,9 +331,13 @@ class TumblingWindowAggregator:
             stat = _level0_stat(source, start, size, bucket)
         else:
             stat = merge_window_stats(bucket, start, size)
-        series = self._closed[level].setdefault(
-            source, deque(maxlen=self.retention)
-        )
+        series = self._closed[level].get(source)
+        if series is None:
+            series = self._closed[level][source] = deque(maxlen=self.retention)
+        elif start < series[-1].window_start:
+            # a mid-stream flush() closed this window's successors and
+            # allowed lateness let it reopen: the series stays unsorted
+            self._unordered[level].add(source)
         series.append(stat)
         if self._finalize_hooks:
             for hook in self._finalize_hooks.get(level, ()):
@@ -319,22 +373,34 @@ class TumblingWindowAggregator:
         end: Optional[float] = None,
     ) -> List[WindowStat]:
         """Finalised windows at one level, oldest first, optionally bounded
-        to ``[start, end)`` by window start time."""
+        to ``[start, end)`` by window start time.
+
+        Ties on window start go by source, then finalisation order.  A
+        source's windows finalise in start order, so each series is
+        bisected and a read costs the windows it returns, not the ones
+        retained; a series that a mid-stream :meth:`flush` left unsorted
+        is scanned and sorted instead.
+        """
         if not 0 <= level < len(self.window_sizes):
             raise ValueError(
                 f"level must be in [0, {len(self.window_sizes)}), got {level}"
             )
         per_source = self._closed[level]
-        sources = [source] if source is not None else sorted(per_source)
+        unordered = self._unordered[level]
+        if source is not None:
+            series = per_source.get(source)
+            if series is None:
+                return []
+            if source not in unordered:
+                return _time_range(series, start, end)
+            names = [source]
+        else:
+            names = sorted(per_source)
         out: List[WindowStat] = []
-        for name in sources:
-            for stat in per_source.get(name, ()):
-                if start is not None and stat.window_start < start:
-                    continue
-                if end is not None and stat.window_start >= end:
-                    continue
-                out.append(stat)
-        out.sort(key=lambda s: (s.window_start, s.source))
+        for name in names:
+            read = _scan if name in unordered else _time_range
+            out.extend(read(per_source[name], start, end))
+        out.sort(key=_start_then_source)
         return out
 
     def totals(self, source: str, level: int = 0) -> Dict[str, float]:
