@@ -2,10 +2,11 @@
 
 Workers are forked, not spawned: ``predict_fn`` and the explainer reach
 the child through the copied address space, so the compiled FlatForest
-arrays and the explainer's background matrix are never pickled.  At
+arrays and the explainer's background matrix and coalition design
+(built once, in the explainer's constructor) are never pickled.  At
 startup the worker *warms* the inherited state — one throwaway predict
-and one coalition-table build — so the first real batch doesn't pay the
-copy-on-write page faults or the design-matrix construction.
+and one throwaway explanation — so the first real batch doesn't pay the
+copy-on-write page faults.
 
 The loop itself is the whole cross-process protocol: pull a small
 ``(slot, seq, kind)`` tuple, read the batch view from the slot's input
@@ -42,19 +43,18 @@ _KIND_PREDICT = 0
 
 
 def _warm(predict_fn, explainer, n_features: int) -> None:
-    """Fault-in the forked pages and pre-build the coalition design.
+    """Fault-in the forked pages the kernels read.
 
-    Best-effort: a kernel that cannot take a zero row (or an explainer
-    without the private design hook) just skips its warm step — the
-    first real batch then pays the cost instead, which is slower but
-    never wrong.
+    The explainer's coalition design came with the fork, so one
+    throwaway explanation touches it along with the background.
+    Best-effort: a kernel that cannot take a zero row just skips its warm
+    step — the first real batch then pays the page faults instead, which
+    is slower but never wrong.
     """
     probe = np.zeros((1, n_features), dtype=np.float64)
     with contextlib.suppress(Exception):
         predict_fn(probe)
     if explainer is not None:
-        with contextlib.suppress(Exception):
-            explainer._coalitions(n_features)
         with contextlib.suppress(Exception):
             explainer.shap_values_batch_exact(probe)
 

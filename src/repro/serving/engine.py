@@ -310,6 +310,9 @@ class ServingEngine:
         unique_index, rows = self._dedup_rows(requests)
         unique = X[rows]
         phi = self.explainer.shap_values_batch_exact(unique)
+        # Co-batched duplicates, the cache and every later hit read views
+        # of this one array: an in-place write must raise, not leak.
+        phi.flags.writeable = False
         for request in requests:
             value = phi[unique_index[request.digest]]
             request.batch_size = len(requests)
@@ -372,6 +375,7 @@ class ServingEngine:
                 request.batch_size = size
                 request.complete(values[i], now)
         else:
+            values.flags.writeable = False  # shared by fan-out and cache
             for request in requests:
                 request.batch_size = size
                 request.complete(values[unique_index[request.digest]], now)

@@ -7,23 +7,28 @@ under the additivity constraint.  For small feature counts the exact
 enumeration over all 2^d coalitions is used, which makes the additivity and
 symmetry axioms hold to numerical precision (property-tested in the suite).
 
-The estimation pipeline is fully vectorized: all (coalition × background)
-model inputs are stacked into one matrix by broadcasting and evaluated in a
-single ``predict_fn`` call (chunked only past a fixed row budget), per-
-coalition means come from one grouped ``np.add.reduceat``, kernel weights
-are a per-size table lookup, and mask enumeration is arithmetic on an
-``arange``.  :meth:`KernelShapExplainer.shap_values_batch` explains a whole
-batch through one shared coalition sample and one KKT solve whose
-factorisation is reused across every instance and output column.  The
-per-coalition loop implementation is preserved verbatim in
-``tests/xai/reference_shap.py`` as the equivalence oracle for tests and
-benches.
+Everything that depends only on the explainer — the coalition masks, their
+kernel weights and the KKT factors of the weighted regression — is fixed by
+(d, ``n_coalitions``, ``seed``), so :class:`KernelShapExplainer` builds it
+once, at construction, as one private design; explaining never reseeds an
+RNG or re-factorises.  Per call, all (coalition × background) model inputs
+are stacked into one matrix — a broadcast copy of the background, then one
+indexed write per feature of the instance values into that feature's
+on-mask rows — and evaluated in a single ``predict_fn`` call (chunked only
+past a fixed row budget); per-coalition means come from one grouped
+``np.add.reduceat``.  :meth:`KernelShapExplainer.shap_values_batch` folds a
+whole batch into one multi-column solve;
+:meth:`KernelShapExplainer.shap_values_batch_exact` solves per instance and
+is what :meth:`~KernelShapExplainer.shap_values` runs for its one row.  A
+per-coalition loop implementation and a vectorized one that rebuilds the
+design on every call live in ``tests/xai/reference_shap.py`` as the
+equivalence oracles for tests and benches.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -65,6 +70,11 @@ def _enumerate_masks(d: int, include_trivial: bool = False) -> np.ndarray:
     return ((ids[:, None] >> np.arange(d, dtype=np.int64)) & 1).astype(bool)
 
 
+def _on_rows(masks: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Per feature, the ascending indices of the masks that include it."""
+    return tuple(np.flatnonzero(column) for column in masks.T)
+
+
 def _predict_2d(predict_fn: PredictFn, X: np.ndarray) -> np.ndarray:
     """Evaluate the model and normalise the output to (n, n_outputs)."""
     preds = np.asarray(predict_fn(X), dtype=np.float64)
@@ -73,58 +83,126 @@ def _predict_2d(predict_fn: PredictFn, X: np.ndarray) -> np.ndarray:
     return preds
 
 
-def _grouped_marginal_means(
+class _CoalitionDesign:
+    """Kernel SHAP's explainer-fixed work, built once per explainer.
+
+    Holds the coalition masks and kernel weights, the regression matrix
+    ``Z`` with ``A⁻¹ = pinv(Zᵀ W Z)``, ``1ᵀA⁻¹`` and ``1ᵀA⁻¹1``, and each
+    feature's on-mask rows for the stacking helper.  Small feature counts
+    enumerate every non-trivial mask; larger ones use paired antithetic
+    sampling, whose RNG call sequence is kept verbatim so seeded runs match
+    the loop reference implementation mask-for-mask.  With d = 1 there is
+    no non-trivial coalition: the design holds zero masks and explaining
+    skips the solve.
+    """
+
+    def __init__(self, d: int, n_coalitions: int, seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        n_possible = 2**d - 2 if d < 30 else np.inf
+        if n_possible <= n_coalitions:
+            masks = _enumerate_masks(d)
+        else:
+            # paired antithetic sampling over coalition sizes
+            sizes = rng.integers(1, d, size=n_coalitions // 2)
+            rows = np.zeros((2 * sizes.shape[0], d), dtype=bool)
+            for i, size in enumerate(sizes):
+                rows[2 * i, rng.choice(d, size=size, replace=False)] = True
+            rows[1::2] = ~rows[::2]
+            masks = np.unique(rows, axis=0)
+            counts = masks.sum(axis=1)
+            masks = masks[(counts > 0) & (counts < d)]
+        self.masks = masks
+        self.n_masks = masks.shape[0]
+        self.weights = _kernel_weights_by_size(d)[masks.sum(axis=1)]
+        self.on_rows = _on_rows(masks)
+        self.Z = masks.astype(np.float64)
+        self.W = self.weights[:, None]
+        self.A_inv = np.linalg.pinv(self.Z.T @ (self.W * self.Z))
+        self.ones = np.ones(d)
+        self.ones_A_inv = self.ones @ self.A_inv
+        self.denom = self.ones_A_inv @ self.ones
+
+    def solve(self, y: np.ndarray, total: np.ndarray) -> np.ndarray:
+        """Constrained weighted least squares: min ||Zφ−y||_W s.t. Σφ = total.
+
+        ``y`` and ``total`` may be matrices (one column per instance ×
+        output pair).  The operations are the per-call factorisation's, in
+        its order, with the factors read from the design — so the result
+        is bitwise the one a fresh ``pinv`` would give.
+        """
+        b = self.Z.T @ (self.W * y)
+        # KKT multiplier per output column
+        lam = (self.ones_A_inv @ b - total) / self.denom
+        return self.A_inv @ (b - np.outer(self.ones, lam))
+
+
+def _stack_chunk(
+    X: np.ndarray,
+    background: np.ndarray,
+    on_rows: Tuple[np.ndarray, ...],
+    n_masks: int,
+    start: int,
+    stop: int,
+) -> np.ndarray:
+    """Groups ``[start, stop)`` of the stacked input, as (groups, n_bg, d).
+
+    Group ``g`` is (instance ``g // n_masks``, mask ``g % n_masks``): the
+    background with the mask's on-features set to the instance's values.
+    The chunk starts as a broadcast copy of the background; each
+    instance-aligned segment (a partial first instance, whole instances, a
+    partial last one) then takes one indexed write per feature.
+    """
+    n_bg, d = background.shape
+    stacked = np.empty((stop - start, n_bg, d))
+    stacked[...] = background
+    pos = start
+    while pos < stop:
+        inst, lo = divmod(pos, n_masks)
+        if lo == 0 and stop - pos >= n_masks:
+            n_inst, hi = (stop - pos) // n_masks, n_masks
+        else:
+            n_inst, hi = 1, min(n_masks, lo + stop - pos)
+        end = pos + n_inst * (hi - lo)
+        segment = stacked[pos - start : end - start].reshape(n_inst, hi - lo, n_bg, d)
+        xs = X[inst : inst + n_inst]
+        for j, rows in enumerate(on_rows):
+            if hi - lo < n_masks:
+                first, last = np.searchsorted(rows, (lo, hi))
+                rows = rows[first:last] - lo
+            segment[..., j][:, rows] = xs[:, j, None, None]
+        pos = end
+    return stacked
+
+
+def _marginal_means(
     predict_fn: PredictFn,
     X: np.ndarray,
     background: np.ndarray,
-    masks: np.ndarray,
+    on_rows: Tuple[np.ndarray, ...],
+    n_masks: int,
 ) -> np.ndarray:
     """E_b[f(x_i with off-coalition features from b)] per (instance, mask).
 
-    Builds the stacked ``(n_instances · n_masks · n_background, d)`` input
-    by broadcasting ``np.where(mask, x, background)``, evaluates the model
-    in as few calls as the row budget allows (one, typically), and reduces
-    each contiguous background block to its mean with one grouped
-    ``np.add.reduceat``.  Returns shape (n_instances, n_masks, n_outputs).
+    The stacked ``(n_instances · n_masks · n_background, d)`` input is
+    evaluated in as few calls as the row budget allows (one, typically):
+    chunks hold ``_MAX_ROWS_PER_CALL // n_background`` whole groups, so a
+    chunk may cut an instance.  Each contiguous background block is then
+    reduced to its mean with one grouped ``np.add.reduceat``.  Returns
+    shape (n_instances, n_masks, n_outputs).
     """
     n_inst, d = X.shape
-    n_masks = masks.shape[0]
     n_bg = background.shape[0]
     n_groups = n_inst * n_masks
-    # one group per (instance, mask) pair; instances vary slowest
-    group_mask = np.broadcast_to(masks, (n_inst, n_masks, d)).reshape(n_groups, d)
-    group_x = np.repeat(X, n_masks, axis=0)
     groups_per_call = max(1, _MAX_ROWS_PER_CALL // n_bg)
     chunks = []
     for start in range(0, n_groups, groups_per_call):
-        gm = group_mask[start : start + groups_per_call]
-        gx = group_x[start : start + groups_per_call]
-        stacked = np.where(gm[:, None, :], gx[:, None, :], background[None, :, :])
+        stop = min(start + groups_per_call, n_groups)
+        stacked = _stack_chunk(X, background, on_rows, n_masks, start, stop)
         preds = _predict_2d(predict_fn, stacked.reshape(-1, d))
         offsets = np.arange(0, preds.shape[0], n_bg)
         chunks.append(np.add.reduceat(preds, offsets, axis=0) / n_bg)
     means = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
     return means.reshape(n_inst, n_masks, -1)
-
-
-def _solve_weighted(
-    Z: np.ndarray, y: np.ndarray, weights: np.ndarray, total: np.ndarray
-) -> np.ndarray:
-    """Constrained weighted least squares: min ||Zφ−y||_W s.t. Σφ = total.
-
-    ``y`` and ``total`` may be matrices (one column per instance × output
-    pair); the factorisation ``pinv(ZᵀWZ)`` depends only on the coalition
-    design, so a whole batch shares one solve.
-    """
-    W = weights[:, None]
-    A = Z.T @ (W * Z)
-    A_inv = np.linalg.pinv(A)
-    ones = np.ones(Z.shape[1])
-    b = Z.T @ (W * y)
-    # KKT multiplier per output column
-    denom = ones @ A_inv @ ones
-    lam = (ones @ A_inv @ b - total) / denom
-    return A_inv @ (b - np.outer(ones, lam))
 
 
 def exact_shap_values(
@@ -149,7 +227,9 @@ def exact_shap_values(
         raise ValueError(f"exact enumeration infeasible for d={d}; use KernelShapExplainer")
 
     masks = _enumerate_masks(d, include_trivial=True)  # row i == subset bits of i
-    v = _grouped_marginal_means(predict_fn, x.reshape(1, -1), background, masks)[0]
+    v = _marginal_means(
+        predict_fn, x.reshape(1, -1), background, _on_rows(masks), masks.shape[0]
+    )[0]
 
     fact = np.array([math.factorial(k) for k in range(d + 1)], dtype=np.float64)
     # coeff[s] = s!(d-s-1)!/d! for a coalition of size s that excludes j
@@ -166,6 +246,12 @@ def exact_shap_values(
 
 class KernelShapExplainer:
     """Sampling-based Kernel SHAP explainer.
+
+    The coalition design — masks, kernel weights and the regression's KKT
+    factors — is built once here from the background's width,
+    ``n_coalitions`` and ``seed``; every later call reuses it, so assign
+    those attributes only through a new explainer.  Building it makes no
+    model call.
 
     Parameters
     ----------
@@ -190,7 +276,7 @@ class KernelShapExplainer:
         seed: int = 0,
     ) -> None:
         background = np.asarray(background, dtype=np.float64)
-        if background.ndim != 2 or background.shape[0] == 0:
+        if background.ndim != 2 or 0 in background.shape:
             raise ValueError("background must be a non-empty 2-D array")
         if n_coalitions < 8:
             raise ValueError("n_coalitions must be >= 8")
@@ -201,58 +287,34 @@ class KernelShapExplainer:
         self.base_values_ = np.atleast_1d(
             np.asarray(predict_fn(background)).mean(axis=0)
         )
+        self._design = _CoalitionDesign(background.shape[1], n_coalitions, seed)
 
     @property
     def n_features(self) -> int:
         return self.background.shape[1]
 
-    def _coalitions(self, d: int):
-        """Coalition design for one explanation run: (masks, weights).
+    def _check_batch(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError("X must be a 2-D (n, d) array")
+        if X.shape[1] != self.n_features:
+            raise ValueError(
+                f"instance has {X.shape[1]} features, background has {self.n_features}"
+            )
+        return X
 
-        Reseeded per call, exactly like the per-row estimator always was —
-        which is what lets a whole batch share one coalition sample.  Small
-        feature counts enumerate every non-trivial mask (vectorized bit
-        arithmetic); larger ones use paired antithetic sampling, whose RNG
-        call sequence is kept verbatim so seeded runs match the loop
-        reference implementation mask-for-mask.
-        """
-        rng = np.random.default_rng(self.seed)
-        n_possible = 2**d - 2 if d < 30 else np.inf
-        if n_possible <= self.n_coalitions:
-            masks = _enumerate_masks(d)
-        else:
-            # paired antithetic sampling over coalition sizes
-            sizes = rng.integers(1, d, size=self.n_coalitions // 2)
-            rows = np.zeros((2 * sizes.shape[0], d), dtype=bool)
-            for i, size in enumerate(sizes):
-                rows[2 * i, rng.choice(d, size=size, replace=False)] = True
-            rows[1::2] = ~rows[::2]
-            masks = np.unique(rows, axis=0)
-            counts = masks.sum(axis=1)
-            masks = masks[(counts > 0) & (counts < d)]
-        weights = _kernel_weights_by_size(d)[masks.sum(axis=1)]
-        return masks, weights
-
-    def _explain_batch(
-        self, X: np.ndarray, class_index: Optional[int]
-    ) -> np.ndarray:
-        """Shared-design batch estimation: returns (n, d) or (n, d, n_out)."""
-        n_inst, d = X.shape
-        f_X = _predict_2d(self.predict_fn, X)
-        total = f_X - self.base_values_
-        masks, weights = self._coalitions(d)
-        means = _grouped_marginal_means(self.predict_fn, X, self.background, masks)
-        y = means - self.base_values_  # (n_inst, n_masks, n_out)
-        n_out = f_X.shape[1]
-        # fold (instance, output) into columns: one KKT solve for everything
-        y_cols = y.transpose(1, 0, 2).reshape(masks.shape[0], n_inst * n_out)
-        phi = _solve_weighted(
-            masks.astype(np.float64), y_cols, weights, total.reshape(-1)
+    def _marginals(self, X: np.ndarray):
+        """(total, y): ``f(X) − base`` as (n, n_out), and each mask's
+        marginal mean minus base as (n, n_masks, n_out) — ``None`` when the
+        design has no mask (d = 1)."""
+        total = _predict_2d(self.predict_fn, X) - self.base_values_
+        design = self._design
+        if not design.n_masks:
+            return total, None
+        means = _marginal_means(
+            self.predict_fn, X, self.background, design.on_rows, design.n_masks
         )
-        phi = phi.reshape(d, n_inst, n_out).transpose(1, 0, 2)
-        if class_index is not None:
-            return phi[:, :, class_index]
-        return phi
+        return total, means - self.base_values_
 
     def shap_values(
         self,
@@ -264,9 +326,12 @@ class KernelShapExplainer:
         """Attribution per feature for one instance.
 
         Returns shape (d,) when ``class_index`` is given, else (d, n_outputs).
-        ``tracer``/``parent`` are duck-typed (``xai`` may not import the
-        tracing package): when given, the whole estimation runs inside an
-        ``xai.shap`` span timed by the tracer's injected clock.
+        The one-row case of :meth:`shap_values_batch_exact` (both run
+        ``_explain_exact``), so a batch equals per-row calls by
+        construction.  ``tracer``/``parent`` are
+        duck-typed (``xai`` may not import the tracing package): when
+        given, the whole estimation runs inside an ``xai.shap`` span timed
+        by the tracer's injected clock.
         """
         if tracer is not None:
             with tracer.span("xai.shap", parent=parent) as span:
@@ -284,32 +349,37 @@ class KernelShapExplainer:
             raise ValueError(
                 f"instance has {d} features, background has {self.n_features}"
             )
-        return self._explain_batch(x.reshape(1, -1), class_index)[0]
+        return self._explain_exact(x.reshape(1, -1), class_index)[0]
 
     def shap_values_batch(
         self, X: np.ndarray, class_index: Optional[int] = None
     ) -> np.ndarray:
-        """Explain many instances through one shared coalition design.
+        """Explain many instances through one multi-column KKT solve.
 
-        Every row reuses the same sampled masks, the same stacked model
-        evaluation and the same KKT factorisation (instances are extra
-        columns of the weighted least-squares solve) — numerically the same
-        estimate the per-row path produces, since that path reseeds its
-        sampler per call anyway.  Returns (n, d) with ``class_index``, else
-        (n, d, n_outputs).
+        Every row shares the design, the stacked model evaluation and the
+        solve (instances are extra columns of the weighted least-squares
+        right-hand side) — the same estimate the per-row path produces, up
+        to BLAS blocking in the wider solve.  Returns (n, d) with
+        ``class_index``, else (n, d, n_outputs).
         """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError("X must be a 2-D (n, d) array")
-        if X.shape[1] != self.n_features:
-            raise ValueError(
-                f"instance has {X.shape[1]} features, background has {self.n_features}"
-            )
-        if X.shape[0] == 0:
+        X = self._check_batch(X)
+        n_inst, d = X.shape
+        if n_inst == 0:
             n_out = self.base_values_.shape[0]
-            shape = (0, X.shape[1]) if class_index is not None else (0, X.shape[1], n_out)
+            shape = (0, d) if class_index is not None else (0, d, n_out)
             return np.zeros(shape)
-        return self._explain_batch(X, class_index)
+        total, y = self._marginals(X)
+        if y is None:
+            phi = total[:, None, :]
+        else:
+            n_out = total.shape[1]
+            # fold (instance, output) into columns: one KKT solve for everything
+            y_cols = y.transpose(1, 0, 2).reshape(self._design.n_masks, n_inst * n_out)
+            phi = self._design.solve(y_cols, total.reshape(-1))
+            phi = phi.reshape(d, n_inst, n_out).transpose(1, 0, 2)
+        if class_index is not None:
+            return phi[:, :, class_index]
+        return phi
 
     def shap_values_batch_exact(
         self, X: np.ndarray, class_index: Optional[int] = None
@@ -321,36 +391,38 @@ class KernelShapExplainer:
         :meth:`shap_values_batch` cannot: folding instances into extra
         columns of one KKT solve changes BLAS blocking, so results drift
         at ~1e-7 from the per-row path.  This variant shares everything
-        that *is* row-stable — the coalition design and the grouped
-        marginal evaluation (``np.add.reduceat`` reduces each
-        instance's segments independently, and the compiled forests are
-        row-stable under stacking) — then runs the weighted solve per
-        instance with exactly the shapes the per-row path uses.  The
-        cost kept by sharing dominates (model evaluation), so this stays
-        within ~2x of the fully-fused solve while matching the
-        per-request oracle bit for bit.
+        that *is* row-stable — the design and the grouped marginal
+        evaluation (``np.add.reduceat`` reduces each instance's segments
+        independently, and the compiled forests are row-stable under
+        stacking) — then solves each instance on its own, which is all
+        the per-row path does.  The cost kept by sharing dominates (model
+        evaluation), so this stays close to the fully-fused solve while
+        matching the per-request oracle bit for bit.
         """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError("X must be a 2-D (n, d) array")
-        if X.shape[1] != self.n_features:
-            raise ValueError(
-                f"instance has {X.shape[1]} features, background has {self.n_features}"
-            )
+        return self._explain_exact(self._check_batch(X), class_index)
+
+    def _explain_exact(
+        self, X: np.ndarray, class_index: Optional[int]
+    ) -> np.ndarray:
+        """Per-instance solves over shared marginals, for a checked batch.
+
+        Both :meth:`shap_values` and :meth:`shap_values_batch_exact` run
+        this, so they agree by construction, yet stay separate entry
+        points: a fault injected into the batched one still shows against
+        the per-row one.
+        """
         n_inst, d = X.shape
         n_out = self.base_values_.shape[0]
         if n_inst == 0:
             shape = (0, d) if class_index is not None else (0, d, n_out)
             return np.zeros(shape)
-        f_X = _predict_2d(self.predict_fn, X)
-        total = f_X - self.base_values_
-        masks, weights = self._coalitions(d)
-        means = _grouped_marginal_means(self.predict_fn, X, self.background, masks)
-        y = means - self.base_values_  # (n_inst, n_masks, n_out)
-        Z = masks.astype(np.float64)
-        phi = np.empty((n_inst, d, n_out))
-        for i in range(n_inst):
-            phi[i] = _solve_weighted(Z, y[i], weights, total[i])
+        total, y = self._marginals(X)
+        if y is None:
+            phi = total[:, None, :]
+        else:
+            phi = np.empty((n_inst, d, n_out))
+            for i in range(n_inst):
+                phi[i] = self._design.solve(y[i], total[i])
         if class_index is not None:
             return phi[:, :, class_index]
         return phi

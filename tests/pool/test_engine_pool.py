@@ -103,6 +103,38 @@ class TestPooledBitwiseEquality:
             assert np.array_equal(first.result(), second.result())
 
 
+class TestServedExplanationsReadOnly:
+    """Co-batched duplicates, the cache and later hits share one array."""
+
+    @pytest.mark.parametrize("pool_kind", ["inline", "nullpool", "kernelpool"])
+    def test_in_place_write_raises_and_changes_nothing(self, explainer, pool_kind):
+        x = np.array([0.5, -1.0, 2.0, 0.25])
+        expected = explainer.shap_values(x)
+        pool = {
+            "inline": lambda: None,
+            "nullpool": lambda: NullPool(_predict, explainer),
+            "kernelpool": lambda: KernelPool(
+                _predict, explainer, workers=1, arena_mb=2.0
+            ),
+        }[pool_kind]()
+        try:
+            engine = ServingEngine(
+                _predict, explainer, _policy(max_batch=2, cache_size=8), pool=pool
+            )
+            first = engine.submit_explain(x, now=0.0)
+            twin = engine.submit_explain(x, now=0.0)  # co-batched duplicate
+            engine.drain(now=0.1)
+            with pytest.raises(ValueError):
+                first.value *= 0
+            hit = engine.submit_explain(x, now=0.2)
+            assert hit.cache_hit
+            for request in (first, twin, hit):
+                assert np.array_equal(request.result(), expected)
+        finally:
+            if pool is not None:
+                pool.close()
+
+
 class TestEventLoopOverlap:
     def test_submit_keeps_admitting_while_pool_runs(self, explainer):
         with KernelPool(_predict, explainer, workers=2, arena_mb=2.0) as p:
