@@ -24,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.slo.definitions import BurnRateRule, SLODefinition
@@ -151,15 +152,22 @@ class SLOStatusSummary:
 class _SeriesState:
     """Trailing-window accounting for one (SLO, concrete source) pair.
 
-    Windows of one concrete source finalise in window order, so the
-    retained history is a time-sorted run.  Alongside the window deque
-    (kept for :meth:`worst_window`'s rare, short-lookback scan at fire
-    time) we keep *absolute* prefix sums of bad/total counts: a trailing
-    burn rate is then one bisect and two subtractions per rule instead
-    of a rescan of the lookback — without this, a rule whose long window
-    spans the stream (the production 6 h pair over a capacity replay)
-    makes every finalisation O(retained windows), and the evaluator
-    can't hold the ≤5 % ingest-overhead budget ``bench_slo`` gates.
+    The retained history is kept in window-end order.  Alongside the
+    window deque (kept for :meth:`worst_window`'s rare, short-lookback
+    scan at fire time) we keep *absolute* prefix sums of bad/total
+    counts: a trailing burn rate is then one bisect and two subtractions
+    per rule instead of a rescan of the lookback — without this, a rule
+    whose long window spans the stream (the production 6 h pair over a
+    capacity replay) makes every finalisation O(retained windows), and
+    the evaluator can't hold the ≤5 % ingest-overhead budget
+    ``bench_slo`` gates.
+
+    Windows of one concrete source finalise in window order, so a window
+    is almost always appended.  The exception: with allowed lateness, a
+    mid-stream ``flush()`` of the rollup closes young windows, and a late
+    event can then reopen and finalise one behind the tail.  Such a
+    window is inserted at its place (after any of equal end) and the
+    prefix sums are rebuilt from there.
     """
 
     __slots__ = (
@@ -190,18 +198,26 @@ class _SeriesState:
 
     def observe(
         self, stat: WindowStat, end: float, bad: float, total: float
-    ) -> None:
-        """Account one window; ``end`` is its ``window_end``."""
+    ) -> float:
+        """Account one window; ``end`` is its ``window_end``.
+
+        Returns the newest window end of the series, the time its rules
+        are evaluated at: ``end`` unless the window finalised late.
+        """
         self.ledger.debit(bad, total)
-        self.history.append((stat, bad, total))
-        self._ends.append(end)
-        self._cum_bad.append(
-            (self._cum_bad[-1] if self._cum_bad else self._base_bad) + bad
-        )
-        self._cum_total.append(
-            (self._cum_total[-1] if self._cum_total else self._base_total)
-            + total
-        )
+        if self._ends and end < self._ends[-1]:
+            self._insert(stat, end, bad, total)
+            end = self._ends[-1]
+        else:
+            self.history.append((stat, bad, total))
+            self._ends.append(end)
+            self._cum_bad.append(
+                (self._cum_bad[-1] if self._cum_bad else self._base_bad) + bad
+            )
+            self._cum_total.append(
+                (self._cum_total[-1] if self._cum_total else self._base_total)
+                + total
+            )
         cutoff = end - self.horizon
         drop = 0
         while drop < len(self._ends) and self._ends[drop] <= cutoff:
@@ -213,6 +229,25 @@ class _SeriesState:
             del self._ends[:drop]
             del self._cum_bad[:drop]
             del self._cum_total[:drop]
+        return end
+
+    def _insert(
+        self, stat: WindowStat, end: float, bad: float, total: float
+    ) -> None:
+        """Place a window that finalised behind the tail in end order and
+        rebuild the prefix sums from it on."""
+        at = bisect_right(self._ends, end)
+        self._ends.insert(at, end)
+        self.history.insert(at, (stat, bad, total))
+        cum_bad = self._cum_bad[at - 1] if at else self._base_bad
+        cum_total = self._cum_total[at - 1] if at else self._base_total
+        del self._cum_bad[at:]
+        del self._cum_total[at:]
+        for __, window_bad, window_total in islice(self.history, at, None):
+            cum_bad += window_bad
+            cum_total += window_total
+            self._cum_bad.append(cum_bad)
+            self._cum_total.append(cum_total)
 
     def burn_rate(self, seconds: float, now: float, target: float) -> float:
         """Trailing burn rate over ``[now - seconds, now)``."""
@@ -355,13 +390,14 @@ class SLOEvaluator:
         return bindings
 
     def _observe_binding(
-        self, binding: _Binding, stat: WindowStat, now: float
+        self, binding: _Binding, stat: WindowStat, end: float
     ) -> None:
         definition = binding.definition
         state = binding.state
         target = definition.target
-        state.observe(stat, now, definition.bad_fraction(stat) * stat.count,
-                      float(stat.count))
+        now = state.observe(stat, end,
+                            definition.bad_fraction(stat) * stat.count,
+                            float(stat.count))
         burn_rate = state.burn_rate
         for rule_state in binding.rules:
             rule = rule_state.rule

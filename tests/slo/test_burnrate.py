@@ -1,6 +1,11 @@
 """Unit tests for the multi-window burn-rate evaluator."""
 
+import math
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.slo import (
     KIND_SLO_ALERT,
@@ -183,3 +188,104 @@ class TestAggregatorAttachment:
         aggregator.flush()
         assert evaluator.windows_seen == 10
         assert evaluator.status() == []  # no series ever bound
+
+
+LATE_RULES = (
+    BurnRateRule("fast", short_seconds=0.5, long_seconds=4.0, factor=4.0),
+    BurnRateRule("slow", short_seconds=1.0, long_seconds=6.0, factor=2.0),
+)
+LOOKBACKS = (0.25, 0.5, 1.0, 2.5, 4.0, 6.0)  # the longest is the horizon
+
+
+@st.composite
+def late_streams(draw):
+    """A seeded 0/1 success stream with reordered and late events and
+    mid-stream flushes: with allowed lateness, a flush lets a window
+    finalise behind its series' tail."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    events = []
+    now = 0.0
+    bad_share = 0.0
+    for __ in range(draw(st.integers(1, 120))):
+        now += rng.uniform(0.0, 0.4)
+        if rng.random() < 0.1:
+            bad_share = rng.choice([0.0, 0.2, 0.9])
+        behind = rng.uniform(0.0, 4.0) if rng.random() < 0.3 else 0.0
+        source = "ok:shap" if rng.random() < 0.8 else "other"
+        value = 0.0 if rng.random() < bad_share else 1.0
+        events.append((TelemetryEvent(source, value, now - behind), rng.random()))
+    return (
+        draw(st.sampled_from([1.0, 0.5])),
+        draw(st.sampled_from([0.0, 0.75, 3.0])),
+        draw(st.sampled_from([0.0, 0.05, 0.2])),
+        events,
+    )
+
+
+class TestWindowsBehindTheTail:
+    """With allowed lateness, a mid-stream flush() lets a window finalise
+    after a newer one of its series.  The trailing sums and the worst
+    window must still be those of the windows seen, in window-end order,
+    and a late window's rules run at the series' newest end."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=late_streams())
+    def test_burn_rate_and_worst_window_match_brute_force(self, stream):
+        window, lateness, flush_share, events = stream
+        definition = SLODefinition(
+            "avail", "ok:shap", OBJECTIVE_AVAILABILITY, target=0.9,
+            burn_rules=LATE_RULES,
+        )
+        aggregator = TumblingWindowAggregator(
+            window_seconds=window, cascades=(), allowed_lateness=lateness
+        )
+        evaluator = SLOEvaluator([definition])
+        evaluator.attach(aggregator)
+        seen = []  # (end, bad, total, window) in finalisation order
+        checked = [0]
+
+        def check(stat):
+            if stat.source != "ok:shap":
+                return
+            bad = definition.bad_fraction(stat) * stat.count
+            seen.append((stat.window_end, bad, float(stat.count), stat))
+            now = max(end for end, *__ in seen)
+            for alert in evaluator.alerts[checked[0]:]:
+                assert alert.timestamp == now
+            checked[0] = len(evaluator.alerts)
+            state = evaluator._series[("avail", "ok:shap")]
+            ordered = sorted(seen, key=lambda entry: entry[0])
+            for seconds in LOOKBACKS:
+                inside = [e for e in ordered if e[0] > now - seconds]
+                total = sum(e[2] for e in inside)
+                want = sum(e[1] for e in inside) / total / 0.1 if total else 0.0
+                got = state.burn_rate(seconds, now, definition.target)
+                assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9), (
+                    seconds, now, got, want,
+                )
+                worst = None
+                for end, bad, total, candidate in inside:
+                    if worst is None or bad / total >= worst[0]:
+                        worst = (bad / total, candidate)
+                got = state.worst_window(seconds, now)
+                assert got is (None if worst is None else worst[1]), (seconds, now)
+
+        aggregator.on_finalize(check)
+        for event, roll in events:
+            aggregator.ingest(event)
+            if roll < flush_share:
+                aggregator.flush()
+        aggregator.flush()
+
+    def test_a_late_window_is_evaluated_at_the_newest_end(self):
+        evaluator = SLOEvaluator([availability_slo()])
+        feed(evaluator, "ok:shap", [1.0] * 20)
+        # a failing window ending at 18 s arrives after the one ending at 20 s
+        evaluator.observe(window("ok:shap", 17.0, 0.0))
+        state = evaluator._series[("avail", "ok:shap")]
+        assert list(state._ends) == sorted(state._ends)
+        # windows ending at 18 (two), 19 and 20 s: 1/4 bad at a 10% budget
+        assert state.burn_rate(3.0, 20.0, 0.9) == pytest.approx(2.5)
+        assert state.burn_rate(1.5, 20.0, 0.9) == 0.0
+        assert state.worst_window(3.0, 20.0).window_start == 17.0
+        assert evaluator.status()[0].short_burn == pytest.approx(0.0)

@@ -4,10 +4,13 @@ replaced, kept as oracles for ``test_read_path.py``.
 ``reference_windows`` filters every retained window of each source and
 sorts the result; ``reference_top_k`` ranks sources from the full sorted
 window list of every source, as ``TelemetryQuery.top_k`` did before it
-summed each source's range on its own.
+summed each source's range on its own; ``loop_top_k`` sums each source's
+range in a Python loop, as ``TelemetryQuery.top_k`` did before it scored
+the rollup's row blocks.
 """
 
 from collections import defaultdict
+from operator import attrgetter, itemgetter
 
 
 def reference_windows(agg, source=None, level=0, start=None, end=None):
@@ -48,6 +51,31 @@ def reference_top_k(
     ranked = sorted(
         ((name, score[name] / weight[name]) for name in score),
         key=lambda pair: pair[1],
+        reverse=(worst == "highest"),
+    )
+    return ranked[:k]
+
+
+def loop_top_k(
+    agg, k, level=0, start=None, end=None, metric="mean", worst="lowest"
+):
+    """``TelemetryQuery.top_k`` as a per-window loop over each source's
+    ``windows(source=...)`` range."""
+    value_of = attrgetter(metric)
+    scored = []
+    for name in agg.sources:
+        stats = agg.windows(source=name, level=level, start=start, end=end)
+        if not stats:
+            continue
+        score = weight = 0.0
+        for stat in stats:
+            score += value_of(stat) * stat.count
+            weight += stat.count
+        scored.append((stats[0].window_start, name, score / weight))
+    scored.sort(key=itemgetter(0))
+    ranked = sorted(
+        ((name, score) for __, name, score in scored),
+        key=itemgetter(1),
         reverse=(worst == "highest"),
     )
     return ranked[:k]
