@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush as _heappush
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -169,7 +169,7 @@ class MicroService:
     micro-batcher and a simulated kernel pool) and the fault surface
     (crash, slow-down) sit on top of those paths; without faults the
     crash guard costs each row one epoch-token add and check and one
-    in-flight set insert and removal.
+    in-flight dict insert and removal.
 
     Parameters
     ----------
@@ -267,7 +267,10 @@ class MicroService:
         self._epoch = 0
         self._tag = 0
         self._slow = 1.0
-        self._inflight: Set[int] = set()
+        # rows on station workers, as an insertion-ordered dict so a
+        # crash hands them back in service-start order, never in an
+        # order that depends on the row numbers
+        self._inflight: Dict[int, None] = {}
         # Columnar-mode bindings (set by use_columnar); None = record-only.
         self._log = None
         self._sim: Optional[Simulator] = None
@@ -559,7 +562,7 @@ class MicroService:
             self._busy += 1
             now = self._sim.now
             log.v_start[row] = now
-            self._inflight.add(row)
+            self._inflight[row] = None
             if payload_id == self._st_last_id:
                 buffer = self._st_last_buf
             else:
@@ -641,7 +644,7 @@ class MicroService:
         log = self._log
         now = self._sim.now
         log.v_start[row] = now
-        self._inflight.add(row)
+        self._inflight[row] = None
         draw = self._sample_service(log.v_payload_ids[row])
         _heappush(
             self._sim_queue,
@@ -660,7 +663,7 @@ class MicroService:
             # scheduled before a crash: the row was handed back already
             self.stale_completions += 1
             return
-        self._inflight.discard(row)
+        del self._inflight[row]
         # the sink stamps ``end`` (with the response leg folded in), so
         # the service does not write the column here
         now = self._sim.now
@@ -675,7 +678,7 @@ class MicroService:
             entry = waiting.popleft()
             if type(entry) is int:
                 log.v_start[entry] = now
-                self._inflight.add(entry)
+                self._inflight[entry] = None
                 payload_id = log.v_payload_ids[entry]
                 if payload_id == self._st_last_id:
                     buffer = self._st_last_buf
@@ -813,7 +816,9 @@ class MicroService:
         """Run one fused batch on a claimed worker (one draw, n rows)."""
         now = self._sim.now
         self._open_batch(batch, now)
-        self._inflight.update(batch)
+        inflight = self._inflight
+        for row in batch:
+            inflight[row] = None
         _heappush(
             self._sim_queue,
             (
@@ -830,11 +835,9 @@ class MicroService:
             # scheduled before a crash: every row was handed back already
             self.stale_completions += len(batch)
             return
-        # one discard per row: difference_update may resize the set,
-        # which would reorder the rows a later crash() hands back
         inflight = self._inflight
         for row in batch:
-            inflight.discard(row)
+            del inflight[row]
         # one worker held for the whole fused call
         self._busy_seconds += self._sim.now - self._log.v_start[batch[0]]
         self.completed_rows += len(batch)
