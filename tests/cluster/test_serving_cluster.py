@@ -140,6 +140,24 @@ class TestClusterShedding:
         assert cons["lost_in_flight"] > 0  # the crash really hit batches
         assert cons["failovers"] >= cons["lost_in_flight"]
 
+    def test_failover_goes_through_the_replica_batcher(self):
+        # a retried row is one more request to the replica: it joins the
+        # micro-batcher and faces admission control like any other
+        policy = ServingPolicy(max_batch=4, batch_window=0.004, shed_depth=8)
+        topology, runner = _cluster(policy, n_nodes=3)
+        primary, replica = topology.ring.preference("shap", 2)
+        runner.add_open_loop(
+            PoissonArrivalGroup("shap", rate_rps=600.0, n_requests=1800)
+        )
+        runner.apply_fault_plan(FaultPlan().add_crash(primary, 1.0))
+        runner.run()
+        cons = runner.conservation()
+        assert cons["failovers"] > 0
+        assert cons["appended"] == cons["observed"] == 1800
+        station = topology.nodes[replica].services["shap"]
+        assert station.completed_rows > 0
+        assert station.completed_rows == station.rows_batched
+
 
 class TestShedAttributionSurvivesReplay:
     def test_wal_replay_separates_shed_from_failed(self, tmp_path):
