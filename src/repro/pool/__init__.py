@@ -26,8 +26,9 @@ Three contracts shape the design (DESIGN.md §16):
   dropped, and the resubmission never double-counts completions.
 
 :class:`NullPool` is the tier-off stand-in: the same API executed
-inline, within 5% of calling the kernels directly
-(``benchmarks/bench_pool.py`` gates it).  Everything here is
+inline.  The serving engine runs every flushed batch through a pool,
+and one built without a pool uses a ``NullPool``, so pooled and inline
+serving share one dispatch and resolution path.  Everything here is
 clock-free — callers pass ``now`` — so the dispatcher composes with the
 clock-agnostic serving engine unchanged.
 """

@@ -25,13 +25,18 @@ The engine never reads a clock — every entry point takes ``now`` — so
 it is pure given (inputs, now) and runs identically under wall time and
 simulated time.
 
-With a :mod:`repro.pool` kernel pool attached (``ServingEngine(pool=…)``)
-flushed batches are dispatched to forked worker processes through
-pinned shared-memory slots instead of running inline: the event loop
-keeps admitting and flushing while kernels execute on other cores, and
+Every flushed batch takes one path: the engine hands it to a kernel
+pool and fans the pool's result back out.  Without a pool from the
+caller that pool is a :class:`repro.pool.NullPool`, the inline
+executor: it runs the kernel in-process and returns a resolved future,
+so the batch resolves before the call that flushed it returns.  With a
+:class:`repro.pool.KernelPool` attached (``ServingEngine(pool=…)``)
+flushed batches go to forked worker processes through pinned
+shared-memory slots instead: the event loop keeps admitting and
+flushing while kernels execute on other cores, and
 :meth:`ServingEngine.poll` resolves completed batches in deterministic
-submission order.  The pooled path is bitwise-equal to the inline path
-because workers run the very same fused entry points.
+submission order.  Workers run the very same fused entry points, so
+the results are bitwise-equal either way.
 """
 
 from typing import Callable, Dict, List, Optional
@@ -67,9 +72,11 @@ class ServingEngine:
     ``shap_values_batch_exact``.  ``tracer`` (optional) gets one
     ``serving.batch`` span per fused call with per-request child spans,
     so traces show the fan-in/fan-out explicitly.  ``pool`` (optional)
-    is a :class:`repro.pool.KernelPool` / ``NullPool``: flushed batches
-    are then dispatched asynchronously and resolved by :meth:`poll` /
-    :meth:`drain` instead of executing inline.
+    is a :class:`repro.pool.KernelPool` / ``NullPool`` that runs the
+    flushed batches; a ``KernelPool``'s batches resolve in :meth:`poll`
+    / :meth:`drain`.  Without one the engine runs its batches through a
+    ``NullPool`` of its own, which ``counters()``, ``telemetry_events()``
+    and the spans do not report.
     """
 
     def __init__(
@@ -84,9 +91,18 @@ class ServingEngine:
         self.predict_fn = predict_fn
         self.explainer = explainer
         self.tracer = tracer
+        #: The pool the caller attached, or None.
         self.pool = pool
-        #: In-flight pooled batches keyed by pool submission seq.
-        self._pool_pending: Dict[int, tuple] = {}
+        if pool is None:
+            # imported here: repro.core imports this package, and
+            # repro.pool loads multiprocessing
+            from repro.pool import NullPool
+
+            pool = NullPool(predict_fn, explainer)
+        #: The pool every flushed batch runs through.
+        self._pool = pool
+        #: Dispatched, unresolved batches keyed by pool submission seq.
+        self._inflight: Dict[int, tuple] = {}
         self._closed = False
         #: Telemetry snapshot frozen by :meth:`shutdown`.
         self.final_snapshot: List[TelemetryEvent] = []
@@ -183,12 +199,11 @@ class ServingEngine:
     def flush_due(self, now: float) -> int:
         """Flush every group whose batch window has lapsed; returns rows.
 
-        With a pool attached this also resolves any pooled batches that
-        completed since the last call, so a plain flush-driven event
-        loop gets the overlap for free.
+        This also resolves any pooled batches that completed since the
+        last call, so a plain flush-driven event loop gets the overlap
+        for free.
         """
-        if self.pool is not None:
-            self.poll(now)
+        self.poll(now)
         rows = 0
         for batch in self.batcher.due(now):
             self.flushed_by_deadline += 1
@@ -201,33 +216,28 @@ class ServingEngine:
 
         Futures come back from the pool in strict submission order, so
         request resolution order is deterministic regardless of which
-        worker finished first.  No-op without a pool.
+        worker finished first.  The inline pool has none to return.
         """
-        if self.pool is None:
-            return 0
         rows = 0
-        for future in self.pool.poll(now):
-            entry = self._pool_pending.pop(future.seq)
+        for future in self._pool.poll(now):
+            entry = self._inflight.pop(future.seq)
             rows += len(entry[2])
-            self._resolve_pool_batch(future, entry, now)
+            self._resolve_batch(future, entry, now)
         return rows
 
     def drain(self, now: float) -> int:
         """Flush all queued work regardless of triggers; returns rows.
 
-        With a pool attached this blocks until every in-flight pooled
-        batch has resolved as well, so after ``drain`` no request is
-        pending anywhere.
+        This blocks until every in-flight pooled batch has resolved as
+        well, so after ``drain`` no request is pending anywhere.
         """
         rows = 0
         for batch in self.batcher.drain():
             self.flushed_by_drain += 1
             rows += len(batch)
             self._run_batch(batch, now)
-        if self.pool is not None:
-            for future in self.pool.drain(now):
-                entry = self._pool_pending.pop(future.seq)
-                self._resolve_pool_batch(future, entry, now)
+        for future in self._pool.drain(now):
+            self._resolve_batch(future, self._inflight.pop(future.seq), now)
         return rows
 
     def shutdown(self, now: float, route: str = "serving") -> List[TelemetryEvent]:
@@ -243,8 +253,7 @@ class ServingEngine:
             return list(self.final_snapshot)
         self.drain(now)
         events = self.telemetry_events(now, route)
-        if self.pool is not None:
-            self.pool.close()
+        self._pool.close()
         self.final_snapshot = events
         self._closed = True
         return events
@@ -254,6 +263,14 @@ class ServingEngine:
         return self.batcher.next_deadline()
 
     def _run_batch(self, batch: Batch, now: float) -> None:
+        """Hand one flushed batch to the pool (non-blocking).
+
+        Requests whose deadline lapsed in the queue fail typed here and
+        never reach a kernel.  Only the unique rows of an explain batch
+        go to the pool: attribution is a pure function of the vector, so
+        duplicates fan back out at resolution through the digests
+        computed at submission.
+        """
         requests = []
         for request in batch.requests:
             if self.admission.expired(request.deadline, now):
@@ -263,100 +280,25 @@ class ServingEngine:
                 requests.append(request)
         if not requests:
             return
-        if self.pool is not None:
-            self._dispatch_pool(batch, requests, now)
-            return
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.start_span(
-                "serving.batch",
-                start_time=now,
-                attributes={
-                    "kind": batch.kind,
-                    "rows": len(requests),
-                    "trigger": batch.trigger,
-                },
-            )
-        X = np.stack([request.x for request in requests])
-        if batch.kind == KIND_PREDICT:
-            values = self.predict_fn(X)
-            for i, request in enumerate(requests):
-                request.batch_size = len(requests)
-                request.complete(values[i], now)
-        else:
-            self._run_explain_batch(requests, X, now)
-        if span is not None:
-            for request in requests:
-                child = self.tracer.start_span(
-                    "serving.request",
-                    parent=span,
-                    start_time=request.enqueued_at,
-                    attributes={"kind": request.kind},
-                )
-                child.end(at=now)
-            span.end(at=now)
-        self.batches += 1
-        self.rows_batched += len(requests)
-        if len(requests) > self.batch_size_peak:
-            self.batch_size_peak = len(requests)
-
-    def _run_explain_batch(
-        self, requests: List[ServingRequest], X: np.ndarray, now: float
-    ) -> None:
-        # Duplicate feature vectors within one batch are explained once;
-        # attribution is a pure function of the vector, so sharing the
-        # result is exact.  Requests carry the digest computed at
-        # submission, so no payload is ever hashed twice.
-        unique_index, rows = self._dedup_rows(requests)
-        unique = X[rows]
-        phi = self.explainer.shap_values_batch_exact(unique)
-        # Co-batched duplicates, the cache and every later hit read views
-        # of this one array: an in-place write must raise, not leak.
-        phi.flags.writeable = False
-        for request in requests:
-            value = phi[unique_index[request.digest]]
-            request.batch_size = len(requests)
-            request.complete(value, now)
-        if self.cache is not None:
-            for digest, position in unique_index.items():
-                self.cache.put(digest, phi[position], now)
-
-    @staticmethod
-    def _dedup_rows(requests: List[ServingRequest]):
-        """(digest -> unique position, first-occurrence row indices)."""
-        unique_index: Dict[bytes, int] = {}
-        rows: List[int] = []
-        for i, request in enumerate(requests):
-            if request.digest not in unique_index:
-                unique_index[request.digest] = len(unique_index)
-                rows.append(i)
-        return unique_index, rows
-
-    # -- pooled execution -----------------------------------------------------
-
-    def _dispatch_pool(
-        self, batch: Batch, requests: List[ServingRequest], now: float
-    ) -> None:
-        """Hand one flushed batch to the kernel pool (non-blocking).
-
-        Only the unique rows of an explain batch travel through the
-        arena; duplicates fan back out at resolution using the digests
-        computed at submission.
-        """
         X = np.stack([request.x for request in requests])
         if batch.kind == KIND_PREDICT:
             unique_index = None
-            future = self.pool.submit_predict(X, now)
+            future = self._pool.submit_predict(X, now)
         else:
-            unique_index, rows = self._dedup_rows(requests)
-            future = self.pool.submit_explain(X[rows], now)
+            unique_index = {}
+            rows = []
+            for i, request in enumerate(requests):
+                if request.digest not in unique_index:
+                    unique_index[request.digest] = len(unique_index)
+                    rows.append(i)
+            future = self._pool.submit_explain(X[rows], now)
         entry = (batch.kind, batch.trigger, requests, unique_index, now)
-        if future.done:  # NullPool executes inline; resolve right away
-            self._resolve_pool_batch(future, entry, now)
+        if future.done:  # the inline pool ran it already
+            self._resolve_batch(future, entry, now)
         else:
-            self._pool_pending[future.seq] = entry
+            self._inflight[future.seq] = entry
 
-    def _resolve_pool_batch(self, future, entry, now: float) -> None:
+    def _resolve_batch(self, future, entry, now: float) -> None:
         """Fan a pool result back out to its batch's requests.
 
         Counters advance here, at resolution, exactly once per batch —
@@ -375,7 +317,9 @@ class ServingEngine:
                 request.batch_size = size
                 request.complete(values[i], now)
         else:
-            values.flags.writeable = False  # shared by fan-out and cache
+            # Co-batched duplicates, the cache and every later hit read
+            # views of this one array: an in-place write must raise.
+            values.flags.writeable = False
             for request in requests:
                 request.batch_size = size
                 request.complete(values[unique_index[request.digest]], now)
@@ -383,15 +327,11 @@ class ServingEngine:
                 for digest, position in unique_index.items():
                     self.cache.put(digest, values[position], now)
         if self.tracer is not None:
+            attributes = {"kind": kind, "rows": size, "trigger": trigger}
+            if self.pool is not None:
+                attributes["pooled"] = 1
             span = self.tracer.start_span(
-                "serving.batch",
-                start_time=dispatched_at,
-                attributes={
-                    "kind": kind,
-                    "rows": len(requests),
-                    "trigger": trigger,
-                    "pooled": 1,
-                },
+                "serving.batch", start_time=dispatched_at, attributes=attributes
             )
             for request in requests:
                 child = self.tracer.start_span(
@@ -403,9 +343,9 @@ class ServingEngine:
                 child.end(at=now)
             span.end(at=now)
         self.batches += 1
-        self.rows_batched += len(requests)
-        if len(requests) > self.batch_size_peak:
-            self.batch_size_peak = len(requests)
+        self.rows_batched += size
+        if size > self.batch_size_peak:
+            self.batch_size_peak = size
 
     # -- accounting ---------------------------------------------------------
 
@@ -431,7 +371,7 @@ class ServingEngine:
             for key, value in self.cache.counters().items():
                 counters[f"cache_{key}"] = value
         if self.pool is not None:
-            counters["pool_inflight"] = float(len(self._pool_pending))
+            counters["pool_inflight"] = float(len(self._inflight))
             for key, value in self.pool.counters().items():
                 counters[f"pool_{key}"] = value
         return counters
