@@ -119,10 +119,6 @@ def _serving_policy_from_args(args: argparse.Namespace):
         pool_workers=(
             args.pool_workers if args.pool_workers is not None else 0
         ),
-        pool_arena_mb=(
-            args.pool_arena_mb if args.pool_arena_mb is not None
-            else defaults.pool_arena_mb
-        ),
     )
 
 
@@ -151,12 +147,6 @@ def _add_serving_flags(parser: argparse.ArgumentParser) -> None:
         help="kernel-pool workers per station: flushed batches run on "
              "the pool tier instead of station workers, 0 keeps them "
              "inline (enables the serving layer)",
-    )
-    parser.add_argument(
-        "--pool-arena-mb", type=float, default=None, metavar="MB",
-        help="shared-memory arena size for the real kernel pool "
-             "(documentation of the deployment; the simulation only "
-             "records it)",
     )
 
 

@@ -33,11 +33,12 @@ class ServingPolicy:
     ``cache_skew`` shape the simulated Zipf content-id stream that
     drives cache hits in capacity runs.
 
-    ``pool_workers`` routes flushed batches through the shared-memory
-    kernel pool (:mod:`repro.pool`) instead of the in-process kernels:
-    0 keeps execution inline, n > 0 fans batches out across n forked
-    workers while the event loop keeps admitting.  ``pool_arena_mb``
-    sizes the pinned shared-memory arena those batches travel through.
+    ``pool_workers`` gives each simulated station a kernel-pool tier:
+    0 runs flushed batches on the station's own workers, n > 0 fans
+    them out across n pool workers while the station keeps admitting.
+    Only the simulated stations read it: the real
+    :class:`~repro.serving.engine.ServingEngine` takes a :mod:`repro.pool`
+    object instead (``ServingEngine(pool=…)``).
     """
 
     max_batch: int = 8
@@ -49,7 +50,6 @@ class ServingPolicy:
     cache_items: int = 512
     cache_skew: float = 1.1
     pool_workers: int = 0
-    pool_arena_mb: float = 8.0
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -70,5 +70,3 @@ class ServingPolicy:
             raise ValueError("cache_skew must be positive")
         if self.pool_workers < 0:
             raise ValueError("pool_workers must be >= 0")
-        if self.pool_arena_mb <= 0:
-            raise ValueError("pool_arena_mb must be positive")

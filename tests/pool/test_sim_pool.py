@@ -103,8 +103,6 @@ class TestPolicyValidation:
     def test_pool_fields_validated(self):
         with pytest.raises(ValueError):
             ServingPolicy(pool_workers=-1)
-        with pytest.raises(ValueError):
-            ServingPolicy(pool_arena_mb=0.0)
 
 
 class TestFaultGrammar:
