@@ -3,10 +3,7 @@
 Workers are forked, not spawned: ``predict_fn`` and the explainer reach
 the child through the copied address space, so the compiled FlatForest
 arrays and the explainer's background matrix and coalition design
-(built once, in the explainer's constructor) are never pickled.  At
-startup the worker *warms* the inherited state — one throwaway predict
-and one throwaway explanation — so the first real batch doesn't pay the
-copy-on-write page faults.
+(built once, in the explainer's constructor) are never pickled.
 
 The loop itself is the whole cross-process protocol: pull a small
 ``(slot, seq, kind)`` tuple, read the batch view from the slot's input
@@ -25,7 +22,6 @@ holding it would wedge the siblings, turning a one-worker fault into a
 pool-wide outage the dispatcher cannot see.
 """
 
-import contextlib
 import os
 
 import numpy as np
@@ -42,35 +38,10 @@ CRASH_EXIT_CODE = 17
 _KIND_PREDICT = 0
 
 
-def _warm(predict_fn, explainer, n_features: int) -> None:
-    """Fault-in the forked pages the kernels read.
-
-    The explainer's coalition design came with the fork, so one
-    throwaway explanation touches it along with the background.
-    Best-effort: a kernel that cannot take a zero row just skips its warm
-    step — the first real batch then pays the page faults instead, which
-    is slower but never wrong.
-    """
-    probe = np.zeros((1, n_features), dtype=np.float64)
-    with contextlib.suppress(Exception):
-        predict_fn(probe)
-    if explainer is not None:
-        with contextlib.suppress(Exception):
-            explainer.shap_values_batch_exact(probe)
-
-
 def worker_main(
-    worker_id: int,
-    arena,
-    task_queue,
-    result_queue,
-    predict_fn,
-    explainer,
-    warm_features: int = 0,
+    worker_id: int, arena, task_queue, result_queue, predict_fn, explainer
 ) -> None:
     """Serve arena slots until a stop sentinel (or injected crash)."""
-    if warm_features > 0:
-        _warm(predict_fn, explainer, warm_features)
     while True:
         message = task_queue.get()
         if message is STOP_SENTINEL:
