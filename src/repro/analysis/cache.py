@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.contracts import ImportGraphAnalyzer
+from repro.analysis.symbols import module_name
 
 __all__ = ["AnalysisCache", "CACHE_VERSION", "ModuleRecord"]
 
@@ -151,7 +152,7 @@ class AnalysisCache:
         graph = analyzer.module_graph
 
         module_of = {
-            relpath: _module_name(relpath) for relpath in self.records
+            relpath: module_name(relpath) for relpath in self.records
         }
         by_module = {name: relpath for relpath, name in module_of.items()}
 
@@ -182,12 +183,3 @@ class AnalysisCache:
         """Drop records for files no longer in the tree."""
         for relpath in set(self.records) - set(digests):
             del self.records[relpath]
-
-
-def _module_name(relpath: str) -> str:
-    parts = list(Path(relpath).parts)
-    if parts[-1] == "__init__.py":
-        parts = parts[:-1]
-    else:
-        parts[-1] = parts[-1][: -len(".py")]
-    return ".".join(parts) if parts else "<root>"

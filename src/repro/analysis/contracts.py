@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import networkx as nx
 
 from repro.analysis.engine import Finding
+from repro.analysis.symbols import module_name
 
 __all__ = [
     "ALLOWED_IMPORTS",
@@ -144,16 +145,6 @@ SERVING_PATH_PACKAGES = frozenset({"serving", "gateway", "cluster"})
 CROSS_PROCESS_PACKAGES = SERVING_PATH_PACKAGES | frozenset({"pool"})
 
 
-def _module_name(relpath: str) -> str:
-    """``ml/model.py`` -> ``ml.model``; ``ml/__init__.py`` -> ``ml``."""
-    parts = list(Path(relpath).parts)
-    if parts[-1] == "__init__.py":
-        parts = parts[:-1]
-    else:
-        parts[-1] = parts[-1][: -len(".py")]
-    return ".".join(parts) if parts else "<root>"
-
-
 def extract_intra_imports(
     relpath: str, tree: ast.Module, top_package: str = TOP_PACKAGE
 ) -> List[Tuple[str, Optional[Tuple[str, ...]], int]]:
@@ -165,7 +156,7 @@ def extract_intra_imports(
     by the live AST path and the incremental cache, which stores these
     tuples so a warm run can rebuild the import graph without parsing.
     """
-    src_module = _module_name(relpath)
+    src_module = module_name(relpath)
     is_package = Path(relpath).name == "__init__.py"
     prefix = top_package + "."
 
@@ -232,7 +223,7 @@ class ImportGraphAnalyzer:
         raw_imports: Iterable[Tuple[str, Optional[Tuple[str, ...]], int]],
     ) -> None:
         """Ingest pre-extracted imports (the incremental cache's path in)."""
-        src_module = _module_name(relpath)
+        src_module = module_name(relpath)
         self.module_graph.add_node(src_module, relpath=relpath)
         for target, names, lineno in raw_imports:
             self._raw.append((src_module, target, names, lineno))

@@ -194,31 +194,3 @@ class AnalysisEngine:
     ) -> List[Finding]:
         """Analyze a source string — the fixture-test entry point."""
         return self.analyze_module(ModuleContext.from_source(source, relpath))
-
-    def analyze_tree(self, root: Path) -> Tuple[List[Finding], int]:
-        """Analyze every ``*.py`` under ``root``; returns (findings, n_modules)."""
-        findings: List[Finding] = []
-        modules = 0
-        for path in sorted(root.rglob("*.py")):
-            source = path.read_text(encoding="utf-8")
-            relpath = path.relative_to(root).as_posix()
-            try:
-                context = ModuleContext(
-                    path=path,
-                    relpath=relpath,
-                    tree=ast.parse(source),
-                    source=source,
-                )
-            except SyntaxError as exc:
-                findings.append(
-                    Finding(
-                        path=relpath,
-                        line=exc.lineno or 1,
-                        rule="syntax-error",
-                        message=f"module does not parse: {exc.msg}",
-                    )
-                )
-                continue
-            modules += 1
-            findings.extend(self.analyze_module(context))
-        return sorted(findings), modules

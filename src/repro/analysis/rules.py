@@ -18,6 +18,7 @@ from repro.analysis.contracts import (
     PURE_PACKAGES,
 )
 from repro.analysis.engine import ModuleContext, rule
+from repro.analysis.symbols import _is_lock_factory, _self_attr
 
 __all__ = ["BUILTIN_NAMES"]
 
@@ -515,30 +516,6 @@ def predict_in_loop(module: ModuleContext) -> Iterator[Tuple[int, str]]:
                 f"{name} used inside a Python loop — stack the inputs "
                 "and evaluate the model in one batched call"
             )
-
-
-_LOCK_FACTORIES = frozenset({"Lock", "RLock", "Condition"})
-
-
-def _is_lock_factory(call: ast.AST) -> bool:
-    if not isinstance(call, ast.Call):
-        return False
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id in _LOCK_FACTORIES
-    if isinstance(func, ast.Attribute):
-        return func.attr in _LOCK_FACTORIES
-    return False
-
-
-def _self_attr(node: ast.AST) -> Optional[str]:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
 
 
 def _with_holds_lock(stmt: ast.With, lock_names: Set[str]) -> bool:

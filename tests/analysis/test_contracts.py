@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import ALLOWED_IMPORTS, ImportGraphAnalyzer, run_analysis
-from repro.analysis.contracts import _module_name
+from repro.analysis.symbols import module_name
 
 
 def write_tree(root: Path, files: dict) -> Path:
@@ -24,13 +24,13 @@ def write_tree(root: Path, files: dict) -> Path:
 
 class TestModuleNaming:
     def test_plain_module(self):
-        assert _module_name("ml/model.py") == "ml.model"
+        assert module_name("ml/model.py") == "ml.model"
 
     def test_package_init(self):
-        assert _module_name("ml/__init__.py") == "ml"
+        assert module_name("ml/__init__.py") == "ml"
 
     def test_root_module(self):
-        assert _module_name("cli.py") == "cli"
+        assert module_name("cli.py") == "cli"
 
 
 class TestLayeringContract:

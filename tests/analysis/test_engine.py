@@ -12,6 +12,7 @@ from repro.analysis.engine import (
     get_rule,
     rule,
 )
+from repro.analysis.runner import run_analysis
 
 
 class TestRegistry:
@@ -72,12 +73,14 @@ class TestEngine:
         lines = [f.line for f in engine.analyze_source(src)]
         assert lines == sorted(lines)
 
-    def test_analyze_tree_reports_syntax_error_as_finding(self, tmp_path):
-        (tmp_path / "bad.py").write_text("def broken(:\n", encoding="utf-8")
-        (tmp_path / "good.py").write_text("x = 1\n", encoding="utf-8")
-        findings, modules = AnalysisEngine().analyze_tree(tmp_path)
-        assert modules == 1  # only the parsable module counts
-        assert [f.rule for f in findings] == ["syntax-error"]
+    def test_run_analysis_reports_syntax_error_as_finding(self, tmp_path):
+        root = tmp_path / "src"
+        root.mkdir()
+        (root / "bad.py").write_text("def broken(:\n", encoding="utf-8")
+        (root / "good.py").write_text("x = 1\n", encoding="utf-8")
+        report = run_analysis(root, cache_path=tmp_path / "lint-cache.json")
+        assert report.modules == 1  # only the parsable module counts
+        assert [f.rule for f in report.findings] == ["syntax-error"]
 
     def test_finding_render_is_clickable(self):
         finding = Finding(path="ml/model.py", line=7, rule="r", message="m")
