@@ -26,7 +26,13 @@ import os
 
 import numpy as np
 
-__all__ = ["CRASH_EXIT_CODE", "CRASH_SENTINEL", "STOP_SENTINEL", "worker_main"]
+__all__ = [
+    "CRASH_EXIT_CODE",
+    "CRASH_SENTINEL",
+    "STOP_SENTINEL",
+    "kernel_error",
+    "worker_main",
+]
 
 #: Queue message telling a worker to die abruptly (fault injection).
 CRASH_SENTINEL = "crash"
@@ -36,6 +42,11 @@ STOP_SENTINEL = None
 CRASH_EXIT_CODE = 17
 
 _KIND_PREDICT = 0
+
+
+def kernel_error(exc: Exception) -> str:
+    """The typed error text of a batch whose kernel raised ``exc``."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 def worker_main(
@@ -67,5 +78,5 @@ def worker_main(
                 slot, np.ascontiguousarray(R, dtype=np.float64)
             )
         except Exception as exc:  # typed back to the caller, never lost
-            error = f"{type(exc).__name__}: {exc}"
+            error = kernel_error(exc)
         result_queue.put((worker_id, slot, seq, error))

@@ -24,6 +24,17 @@ def explainer():
     )
 
 
+#: A row whose first feature is MARK makes ``_touchy_predict`` raise.
+MARK = 99.0
+
+
+def _touchy_predict(X):
+    X = np.asarray(X, dtype=np.float64)
+    if (X[:, 0] == MARK).any():
+        raise ValueError("boom")
+    return _predict(X)
+
+
 def _policy(**overrides):
     defaults = dict(max_batch=4, batch_window=0.010)
     defaults.update(overrides)
@@ -130,6 +141,59 @@ class TestServedExplanationsReadOnly:
             assert hit.cache_hit
             for request in (first, twin, hit):
                 assert np.array_equal(request.result(), expected)
+        finally:
+            if pool is not None:
+                pool.close()
+
+
+class TestKernelFailures:
+    """A raising kernel fails its own batch, typed and counted, whichever
+    pool runs it; the engine's other batches are still served."""
+
+    @pytest.mark.parametrize("kind", ["predict", "explain"])
+    @pytest.mark.parametrize("pool_kind", ["inline", "nullpool", "kernelpool"])
+    def test_failing_batch_is_typed_and_counted(self, pool_kind, kind):
+        rng = np.random.default_rng(9)
+        # the explainer evaluates _touchy_predict on coalitions that
+        # carry the instance's first feature, so a marked row raises
+        # from inside the SHAP kernel too
+        explainer = KernelShapExplainer(
+            _touchy_predict, rng.normal(size=(16, D)), n_coalitions=16, seed=0
+        )
+        pool = {
+            "inline": lambda: None,
+            "nullpool": lambda: NullPool(_touchy_predict, explainer),
+            "kernelpool": lambda: KernelPool(
+                _touchy_predict, explainer, workers=1, arena_mb=2.0
+            ),
+        }[pool_kind]()
+        try:
+            engine = ServingEngine(
+                _touchy_predict, explainer, _policy(max_batch=2), pool=pool
+            )
+            submit = (
+                engine.submit_explain if kind == "explain" else engine.submit_predict
+            )
+            xs = rng.normal(size=(6, D))
+            xs[3, 0] = MARK  # the second of three size-2 batches
+            requests = [submit(x, now=0.0) for x in xs]
+            engine.drain(now=0.1)
+            assert all(request.done for request in requests)
+            failed = "ValueError: boom"
+            assert [request.error for request in requests] == [
+                None, None, failed, failed, None, None,
+            ]
+            for i in (0, 1, 4, 5):
+                expected = (
+                    explainer.shap_values(xs[i])
+                    if kind == "explain"
+                    else _predict(xs[i][None])[0]
+                )
+                assert np.array_equal(requests[i].result(), expected)
+            counters = engine.counters()
+            assert counters["failed_rows"] == 2.0
+            assert counters["batches"] == 2.0
+            assert counters["rows_batched"] == 4.0
         finally:
             if pool is not None:
                 pool.close()

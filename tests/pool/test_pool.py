@@ -183,6 +183,20 @@ class TestNullPool:
         assert pool.counters()["dispatched"] == 2.0
         pool.close()
 
+    def test_kernel_error_resolves_typed(self):
+        def boom(X):
+            raise ValueError("boom")
+
+        pool = NullPool(boom)
+        future = pool.submit_predict(np.ones((2, D)), now=0.5)
+        # the text a pool worker sends back for the same fault
+        assert future.done and future.error == "ValueError: boom"
+        assert future.value is None and future.completed_at == 0.5
+        with pytest.raises(RuntimeError, match="boom"):
+            future.result()
+        assert pool.counters()["completed"] == 1.0
+        assert pool.idle_workers == 0
+
     def test_kind_codes_are_stable(self):
         # the arena header encodes these; renumbering breaks live slots
         assert KIND_CODE_PREDICT == 0
