@@ -118,9 +118,9 @@ class _CoalitionDesign:
         self.Z = masks.astype(np.float64)
         self.W = self.weights[:, None]
         self.A_inv = np.linalg.pinv(self.Z.T @ (self.W * self.Z))
-        self.ones = np.ones(d)
-        self.ones_A_inv = self.ones @ self.A_inv
-        self.denom = self.ones_A_inv @ self.ones
+        ones = np.ones(d)
+        self.ones_A_inv = ones @ self.A_inv
+        self.denom = self.ones_A_inv @ ones
 
     def solve(self, y: np.ndarray, total: np.ndarray) -> np.ndarray:
         """Constrained weighted least squares: min ||Zφ−y||_W s.t. Σφ = total.
@@ -128,12 +128,15 @@ class _CoalitionDesign:
         ``y`` and ``total`` may be matrices (one column per instance ×
         output pair).  The operations are the per-call factorisation's, in
         its order, with the factors read from the design — so the result
-        is bitwise the one a fresh ``pinv`` would give.
+        is bitwise the one a fresh ``pinv`` would give: ``b - lam``
+        broadcasts the row of multipliers, which is exactly the
+        ``outer(1, lam)`` the factorisation subtracts, since 1.0 × λ = λ.
+        ``y`` is 2-D at every caller.
         """
         b = self.Z.T @ (self.W * y)
         # KKT multiplier per output column
         lam = (self.ones_A_inv @ b - total) / self.denom
-        return self.A_inv @ (b - np.outer(self.ones, lam))
+        return self.A_inv @ (b - lam)
 
 
 def _stack_chunk(
