@@ -19,11 +19,16 @@ __all__ = ["ServingPolicy"]
 class ServingPolicy:
     """Knobs for micro-batching, explanation caching and admission.
 
-    ``max_batch`` and ``batch_window`` are the two flush triggers —
-    whichever fires first.  ``shed_depth`` is the admission-control
-    queue depth (0 disables shedding), ``cache_size`` the explanation
-    cache capacity in entries (0 disables the cache) with
-    ``cache_ttl`` seconds of freshness (None = never expires).
+    ``max_batch`` and ``batch_window`` are the size and deadline flush
+    triggers — whichever fires first.  On the real engine with a
+    :class:`~repro.pool.KernelPool` attached, an idle pool worker also
+    takes the oldest pending group at once (the ``idle`` trigger), so
+    ``batch_window`` bounds a request's wait only while every worker is
+    busy; the simulated stations keep size and deadline alone.
+    ``shed_depth`` is the admission-control queue depth (0 disables
+    shedding), ``cache_size`` the explanation cache capacity in entries
+    (0 disables the cache) with ``cache_ttl`` seconds of freshness
+    (None = never expires).
 
     ``batch_marginal`` models the incremental cost of each extra row in
     a fused kernel call for the discrete-event simulation: a batch of n
