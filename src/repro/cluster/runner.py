@@ -57,9 +57,8 @@ from repro.cluster.node import ClusterNode
 from repro.cluster.topology import ClusterTopology
 from repro.gateway.capacity import (
     _ColumnarRunner,
-    _Driver,
     _SimCacheGate,
-    _VirtualUser,
+    _TracedJob,
     merged_report,
 )
 from repro.gateway.loadgen import SummaryReport
@@ -134,114 +133,6 @@ class _Replicas:
                 service.submit_row_serving(row)
                 return
         self.runner._final_fail(row, self.runner._err_no_replica)
-
-
-class _TracedJob:
-    """A trace-sampled request: accumulates history, materialises at end.
-
-    No span exists while the request is in flight — the whole tree is
-    built retroactively from the row's columns and the recorded failover
-    attempts when the request finally completes (same zero-extra-events
-    stance as the service layer's stage materialisation).  ``user`` is
-    the closed-loop owner to reschedule afterwards, if any.
-    """
-
-    __slots__ = ("user", "entry", "route_id", "attempts")
-
-    def __init__(
-        self,
-        user: Optional[_VirtualUser],
-        entry: ClusterNode,
-        route_id: int,
-    ) -> None:
-        self.user = user
-        self.entry = entry
-        self.route_id = route_id
-        #: (node_id, error_code, at) per failed attempt, in order.
-        self.attempts: List[Tuple[str, int, float]] = []
-
-    def complete(
-        self,
-        runner: "ClusterRunner",
-        service: Optional[MicroService],
-        row: int,
-        end: float,
-        ms: float,
-        ok: bool,
-        final_code: int = 0,
-    ):
-        """Materialise the span tree and hand control back to the owner.
-
-        Returns the root span's context so the completion sink can stamp
-        exemplar labels onto a sampled response event, when the same
-        request is both traced and response-sampled.
-        """
-        tracer = runner.tracer
-        log = runner.log
-        entry_id = self.entry.node_id
-        route = log.route_name(self.route_id)
-        arrival = log.v_arrival[row]
-        root = tracer.start_span(
-            "cluster.request",
-            start_time=arrival,
-            attributes={NODE_ID_ATTR: entry_id, "route": route},
-        )
-        tracer.start_span(
-            "gateway.route",
-            parent=root,
-            start_time=arrival,
-            attributes={NODE_ID_ATTR: entry_id},
-        ).end(at=arrival + runner.overhead)
-        cursor = arrival + runner.overhead
-        for node_id, code, failed_at in self.attempts:
-            tracer.start_span(
-                "service.attempt",
-                parent=root,
-                start_time=cursor,
-                attributes={NODE_ID_ATTR: node_id},
-            ).record_error(log.error_message(code)).end(at=failed_at)
-            cursor = failed_at
-        if ok and service is not None:
-            serving = service.node
-            start = log.v_start[row]
-            finish = end - runner.overhead
-            if start > cursor:
-                tracer.start_span(
-                    "service.queue",
-                    parent=root,
-                    start_time=cursor,
-                    attributes={NODE_ID_ATTR: serving.node_id},
-                ).end(at=start)
-            tracer.start_span(
-                "service.process",
-                parent=root,
-                start_time=start,
-                attributes={NODE_ID_ATTR: serving.node_id, "route": route},
-            ).end(at=finish)
-            tracer.start_span(
-                "gateway.respond",
-                parent=root,
-                start_time=finish,
-                attributes={NODE_ID_ATTR: entry_id},
-            ).end(at=end)
-            if serving is not self.entry:
-                runner.cross_node_traces += 1
-            stats = service.stats
-        else:
-            reason = log.error_message(final_code)
-            tracer.start_span(
-                "cluster.failover",
-                parent=root,
-                start_time=cursor,
-                attributes={NODE_ID_ATTR: entry_id},
-            ).record_error(reason).end(at=end)
-            root.record_error(reason)
-            stats = runner.lost_stats(self.route_id)
-        root.end(at=end)
-        stats.exemplars.offer(ms, end, route, root.context)
-        if self.user is not None:
-            self.user.resume(end)
-        return root.context
 
 
 class ClusterRunner(_ColumnarRunner):
@@ -417,22 +308,96 @@ class ClusterRunner(_ColumnarRunner):
         self._groups += n
         return [live[(first + i) % len(live)] for i in range(n)]
 
-    def sample(self, driver: _Driver, owner: Optional[_VirtualUser]) -> None:
-        """Send a trace-sampled request down the row path; its
-        :class:`_TracedJob` builds the span tree when it completes."""
-        log = self.log
-        row = log.append(
-            driver.route_id, driver.payload_id, self.sim.now - self.overhead
-        )
-        self.in_flight += 1
-        log.v_active[row] = self.in_flight
-        log.slots[row] = _TracedJob(owner, driver.entry, driver.route_id)
-        driver.submit(row)
-
     def apply_fault_plan(self, plan: FaultPlan) -> None:
         """Replay a fault plan onto the shared heap."""
         for event in plan:
             self.sim.schedule_call(event.at, self._apply_fault, event)
+
+    def _trace(
+        self,
+        job: _TracedJob,
+        service: Optional[MicroService],
+        row: int,
+        end: float,
+        ms: float,
+        ok: bool,
+        final_code: int = 0,
+    ):
+        """Build a trace-sampled request's span tree; resume its owner.
+
+        The tree comes from the row's columns and the job's recorded
+        failover attempts: gateway legs on the entry node, queue/process
+        on the serving node, one error span per failed attempt.  Returns
+        the root span's context so the completion sink can stamp
+        exemplar labels onto a sampled response event, when the same
+        request is both traced and response-sampled.
+        """
+        tracer = self.tracer
+        log = self.log
+        entry_id = job.entry.node_id
+        route = log.route_name(job.route_id)
+        arrival = log.v_arrival[row]
+        root = tracer.start_span(
+            "cluster.request",
+            start_time=arrival,
+            attributes={NODE_ID_ATTR: entry_id, "route": route},
+        )
+        tracer.start_span(
+            "gateway.route",
+            parent=root,
+            start_time=arrival,
+            attributes={NODE_ID_ATTR: entry_id},
+        ).end(at=arrival + self.overhead)
+        cursor = arrival + self.overhead
+        for node_id, code, failed_at in job.attempts:
+            tracer.start_span(
+                "service.attempt",
+                parent=root,
+                start_time=cursor,
+                attributes={NODE_ID_ATTR: node_id},
+            ).record_error(log.error_message(code)).end(at=failed_at)
+            cursor = failed_at
+        if ok and service is not None:
+            serving = service.node
+            start = log.v_start[row]
+            finish = end - self.overhead
+            if start > cursor:
+                tracer.start_span(
+                    "service.queue",
+                    parent=root,
+                    start_time=cursor,
+                    attributes={NODE_ID_ATTR: serving.node_id},
+                ).end(at=start)
+            tracer.start_span(
+                "service.process",
+                parent=root,
+                start_time=start,
+                attributes={NODE_ID_ATTR: serving.node_id, "route": route},
+            ).end(at=finish)
+            tracer.start_span(
+                "gateway.respond",
+                parent=root,
+                start_time=finish,
+                attributes={NODE_ID_ATTR: entry_id},
+            ).end(at=end)
+            if serving is not job.entry:
+                self.cross_node_traces += 1
+            stats = service.stats
+        else:
+            reason = log.error_message(final_code)
+            tracer.start_span(
+                "cluster.failover",
+                parent=root,
+                start_time=cursor,
+                attributes={NODE_ID_ATTR: entry_id},
+            ).record_error(reason).end(at=end)
+            root.record_error(reason)
+            stats = self.lost_stats(job.route_id)
+        root.end(at=end)
+        stats.exemplars.offer(ms, end, route, root.context)
+        if job.user is not None:
+            job.user.resume(end)
+        return root.context
 
     # -- hot path ------------------------------------------------------------
 
@@ -523,7 +488,7 @@ class ClusterRunner(_ColumnarRunner):
         if owner is not None:
             slots[row] = None
             if owner.__class__ is _TracedJob:
-                context = owner.complete(self, service, row, end, ms, True)
+                context = self._trace(owner, service, row, end, ms, True)
             else:
                 _heappush(
                     self._sim_queue,
@@ -688,7 +653,7 @@ class ClusterRunner(_ColumnarRunner):
             log.slots[row] = None
             if owner.__class__ is _TracedJob:
                 ms = (now - log.v_arrival[row]) * 1000.0
-                owner.complete(self, None, row, now, ms, False, code)
+                self._trace(owner, None, row, now, ms, False, code)
             else:
                 owner.resume(now)
         if self._publish_every:

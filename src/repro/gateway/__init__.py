@@ -26,7 +26,7 @@ from repro.gateway.services import (
     RequestRecord,
     ServiceTimeModel,
 )
-from repro.gateway.gateway import APIGateway
+from repro.gateway.gateway import APIGateway, StationBoundError
 from repro.gateway.admission import AdmittingGateway
 from repro.gateway.autoscale import Autoscaler, AutoscalerPolicy, ScalingEvent
 from repro.gateway.ratelimit import RateLimitRule, RateLimitedGateway
@@ -76,6 +76,7 @@ __all__ = [
     "ScalingEvent",
     "ServiceTimeModel",
     "Simulator",
+    "StationBoundError",
     "StreamingMoments",
     "SummaryReport",
     "ThreadGroup",

@@ -1,12 +1,14 @@
 """What a seeded run simulates does not depend on how it is observed.
 
-Retain mode numbers log rows 0..n, while ring mode recycles them, and a
-telemetry target turns on per-response publishing.  Neither may move a
-simulated latency.  With the same seed, every combination must give the
-same :class:`SummaryReport` (timeline and per-route reports included)
-and the same ledger, on both runners, in classic, serving and pool
-modes, with crashes.  Node crashes hand their rows back in service-start
-order, so the failover order cannot follow the row numbers.
+Retain mode numbers log rows 0..n, while ring mode recycles them, a
+telemetry target turns on per-response publishing, and ``trace_every``
+traces every Nth request under a recording tracer.  None of them may
+move a simulated latency.  With the same seed, every combination must
+give the same :class:`SummaryReport` (timeline and per-route reports
+included) and the same ledger, on both runners, in classic, serving and
+pool modes, with crashes.  Node crashes hand their rows back in
+service-start order, so the failover order cannot follow the row
+numbers.
 """
 
 import pytest
@@ -18,6 +20,7 @@ from repro.gateway.loadgen import ThreadGroup
 from repro.gateway.simulation import Simulator
 from repro.serving import ServingPolicy
 from repro.telemetry import TelemetryBus
+from repro.tracing import TraceCollector, Tracer
 
 MODES = {
     "classic": None,
@@ -33,11 +36,18 @@ MODES = {
     ),
 }
 
-#: (retain_records, telemetry on) — the first is the reference run.
-VARIANTS = [(True, False), (False, False), (True, True), (False, True)]
+#: (retain_records, telemetry on, trace_every) — the first is the
+#: reference run, untraced.
+VARIANTS = [
+    (retain, telemetry, trace_every)
+    for trace_every in (0, 1, 7, 25)
+    for retain, telemetry in [
+        (True, False), (False, False), (True, True), (False, True)
+    ]
+]
 
 
-def _cluster_run(mode, seed, retain, telemetry):
+def _cluster_run(mode, seed, retain, telemetry, trace_every):
     topology = ClusterTopology(
         Simulator(),
         [
@@ -57,7 +67,7 @@ def _cluster_run(mode, seed, retain, telemetry):
         topology,
         retain_records=retain,
         seed=seed,
-        trace_every=25,
+        trace_every=trace_every,
         telemetry=TelemetryBus() if telemetry else None,
         response_every=5,
         initial_capacity=8,
@@ -79,18 +89,24 @@ def _cluster_run(mode, seed, retain, telemetry):
         plan.add_pool_crash(shap[1], 0.5)
     runner.apply_fault_plan(plan)
     report = runner.run()
-    return report, runner.conservation()
+    return report, runner.conservation(), len(runner.collector)
 
 
-def _capacity_run(mode, seed, retain, telemetry):
-    sim, gateway = build_paper_deployment(seed=seed)
+def _capacity_run(mode, seed, retain, telemetry, trace_every):
+    collector = TraceCollector(max_traces=1 << 14)
+    clock = {}
+    tracer = Tracer(
+        clock=lambda: clock["sim"].now, collector=collector, seed=seed
+    )
+    sim, gateway = build_paper_deployment(seed=seed, tracer=tracer)
+    clock["sim"] = sim
     gateway.service("shap").queue_capacity = 6
     runner = CapacityRunner(
         sim,
         gateway,
         retain_records=retain,
         seed=seed,
-        trace_every=25,
+        trace_every=trace_every,
         telemetry=TelemetryBus() if telemetry else None,
         initial_capacity=8,
         serving=MODES[mode],
@@ -109,7 +125,7 @@ def _capacity_run(mode, seed, retain, telemetry):
         "in_flight": runner.in_flight,
         "serving": runner.serving_summary(),
     }
-    return report, ledger
+    return report, ledger, len(collector)
 
 
 RUNNERS = {"cluster": _cluster_run, "capacity": _capacity_run}
@@ -119,19 +135,22 @@ RUNNERS = {"cluster": _cluster_run, "capacity": _capacity_run}
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("runner", sorted(RUNNERS))
 def test_retention_and_telemetry_do_not_change_the_run(runner, mode, seed):
-    runs = [
-        RUNNERS[runner](mode, seed, retain, telemetry)
-        for retain, telemetry in VARIANTS
-    ]
-    report, ledger = runs[0]
+    runs = [RUNNERS[runner](mode, seed, *variant) for variant in VARIANTS]
+    report, ledger, __ = runs[0]
     assert report.n_requests > 0
-    for variant, (other_report, other_ledger) in zip(VARIANTS[1:], runs[1:]):
+    for variant, (other_report, other_ledger, traces) in zip(
+        VARIANTS[1:], runs[1:]
+    ):
         assert other_report == report, variant
         assert other_ledger == ledger, variant
+        # the traced variants really traced
+        assert (traces > 0) == (variant[2] > 0), variant
 
 
 def test_the_faulted_cluster_runs_fail_over_crash_lost_rows():
     for mode in MODES:
-        __, ledger = _cluster_run(mode, 0, retain=False, telemetry=False)
+        __, ledger, __ = _cluster_run(
+            mode, 0, retain=False, telemetry=False, trace_every=25
+        )
         assert ledger["lost_in_flight"] > 1
         assert ledger["failovers"] > 0

@@ -37,13 +37,15 @@ class TestAutoscalerPolicy:
 class TestSetConcurrency:
     def test_growth_drains_queue(self):
         sim = Simulator()
+        gateway = APIGateway(sim, overhead_seconds=0.0)
         service = slow_service(concurrency=1)
+        gateway.register(service)
         done = []
         from repro.gateway.services import Request
 
         for i in range(4):
             req = Request(i, "svc")
-            sim.schedule(0.0, (lambda r: lambda: service.submit(r, sim, done.append))(req))
+            sim.schedule(0.0, (lambda r: lambda: gateway.dispatch(r, done.append))(req))
         sim.run(until=0.5)
         assert service.queue_length == 3
         service.set_concurrency(4, sim)

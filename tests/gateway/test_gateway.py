@@ -91,3 +91,20 @@ class TestRouting:
         gateway.dispatch(Request(1, "svc"), results.append)
         sim.run()
         assert results[0].response_time == pytest.approx(1.0)
+
+
+class TestRunnerBoundStations:
+    def test_dispatch_to_a_runner_bound_station_raises(self):
+        from repro.gateway import CapacityRunner, StationBoundError
+        from repro.gateway.cluster import build_paper_deployment
+
+        sim, gateway = build_paper_deployment(seed=0)
+        runner = CapacityRunner(sim, gateway)
+        runner.bind("shap")
+        with pytest.raises(StationBoundError, match="'shap'"):
+            gateway.dispatch(Request(1, "shap"), lambda record: None)
+        # a route no runner drives still dispatches on the gateway's log
+        results = []
+        gateway.dispatch(Request(2, "lime"), results.append)
+        sim.run()
+        assert [r.success for r in results] == [True]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gateway import (
+    AdmittingGateway,
     APIGateway,
     LoadGenerator,
     Machine,
@@ -122,3 +123,55 @@ class TestRateLimitedGateway:
         gateway.dispatch(Request(2, "svc"), results.append)
         sim.run()
         assert len(gateway.gateway.records) == 2
+
+
+class TestStackedWithAdmission:
+    """The limiter and the admission wrapper stack in either order: each
+    answers its own rejections on the base gateway, and every request is
+    recorded there exactly once."""
+
+    N_THREADS = 12
+    ITERATIONS = 4
+
+    @pytest.mark.parametrize("limiter_outside", [True, False])
+    def test_load_through_the_stack(self, limiter_outside):
+        sim = Simulator()
+        base = APIGateway(sim, overhead_seconds=0.001)
+        base.register(
+            MicroService(
+                name="svc",
+                machine=Machine("host", vcpus=2, ram_gb=4),
+                service_time=ServiceTimeModel({"tabular": 0.02}, jitter=0.0),
+            )
+        )
+        rules = {"svc": RateLimitRule(5, 0.05)}
+        if limiter_outside:
+            admission = AdmittingGateway(base, shed_depth=4)
+            limiter = front = RateLimitedGateway(admission, rules)
+        else:
+            limiter = RateLimitedGateway(base, rules)
+            admission = front = AdmittingGateway(limiter, shed_depth=4)
+        generator = LoadGenerator(sim, front)
+        generator.add_thread_group(
+            ThreadGroup(
+                route="svc",
+                n_threads=self.N_THREADS,
+                rampup_seconds=0.0,
+                iterations=self.ITERATIONS,
+            )
+        )
+        report = generator.run()
+        sent = self.N_THREADS * self.ITERATIONS
+        assert report.n_requests == sent
+        assert limiter.rejected > 0 and admission.shed > 0
+        errors = [r.error for r in generator.responses if not r.success]
+        assert errors.count("429 rate limited") == limiter.rejected
+        shed = [e for e in errors if e.startswith("503 shed")]
+        assert len(shed) == admission.shed
+        assert len(errors) == limiter.rejected + admission.shed
+        # every request recorded exactly once, on the base gateway
+        assert sorted(id(r.request) for r in base.records) == sorted(
+            id(r.request) for r in generator.responses
+        )
+        assert len(base.records) == sent
+        assert admission.in_flight("svc") == 0

@@ -1,8 +1,14 @@
-"""Tests for machines, service-time models and micro-service queueing."""
+"""Tests for machines, service-time models and micro-service queueing.
+
+Requests reach a station as rows; the queueing tests send them through
+an :class:`APIGateway` with zero routing overhead, so a record's times
+are the station's own, and read the finished records off the gateway.
+"""
 
 import numpy as np
 import pytest
 
+from repro.gateway.gateway import APIGateway
 from repro.gateway.services import (
     Machine,
     MicroService,
@@ -22,6 +28,14 @@ def make_service(concurrency=2, base=1.0, queue_capacity=10, jitter=0.0):
     )
 
 
+def zero_overhead_gateway(service):
+    """A fresh simulator and a gateway adding no routing time."""
+    sim = Simulator()
+    gateway = APIGateway(sim, overhead_seconds=0.0)
+    gateway.register(service)
+    return sim, gateway
+
+
 class TestMachine:
     def test_valid(self):
         m = Machine("host", vcpus=4, ram_gb=8)
@@ -35,18 +49,18 @@ class TestMachine:
 class TestServiceTimeModel:
     def test_deterministic_without_jitter(self):
         model = ServiceTimeModel({"tabular": 0.5}, jitter=0.0)
-        assert model.sample("tabular") == 0.5
+        assert model.sample_batch("tabular", 1)[0] == 0.5
 
     def test_jitter_spreads_samples(self):
         model = ServiceTimeModel({"tabular": 1.0}, jitter=0.3, seed=0)
-        samples = [model.sample("tabular") for __ in range(50)]
+        samples = model.sample_batch("tabular", 50)
         assert np.std(samples) > 0.0
         assert all(s > 0 for s in samples)
 
     def test_unknown_payload_raises(self):
         model = ServiceTimeModel({"tabular": 0.5})
         with pytest.raises(KeyError):
-            model.sample("image")
+            model.sample_batch("image", 1)
 
     def test_supports(self):
         model = ServiceTimeModel({"image": 0.5})
@@ -64,13 +78,13 @@ class TestServiceTimeModel:
 
 class TestMicroServiceQueueing:
     def run_requests(self, service, n, spacing=0.0):
-        sim = Simulator()
+        sim, gateway = zero_overhead_gateway(service)
         done = []
         for i in range(n):
             req = Request(request_id=i, route="svc")
             sim.schedule(
                 i * spacing,
-                (lambda r: lambda: service.submit(r, sim, done.append))(req),
+                (lambda r: lambda: gateway.dispatch(r, done.append))(req),
             )
         sim.run()
         return done
@@ -109,10 +123,10 @@ class TestMicroServiceQueueing:
 
     def test_unsupported_payload_fails_fast(self):
         service = make_service()
-        sim = Simulator()
+        sim, gateway = zero_overhead_gateway(service)
         done = []
         req = Request(request_id=1, route="svc", payload="image")
-        sim.schedule(0.0, lambda: service.submit(req, sim, done.append))
+        sim.schedule(0.0, lambda: gateway.dispatch(req, done.append))
         sim.run()
         assert not done[0].success
         assert "unsupported payload" in done[0].error
@@ -133,7 +147,7 @@ class TestMicroServiceQueueing:
         """N closed-loop users on c workers: avg response ≈ N * s / c —
         the law the Fig. 8(c) calibration relies on."""
         service = make_service(concurrency=4, base=0.01, queue_capacity=1000)
-        sim = Simulator()
+        sim, gateway = zero_overhead_gateway(service)
         responses = []
 
         def make_user(remaining):
@@ -145,7 +159,7 @@ class TestMicroServiceQueueing:
                     if remaining > 1:
                         make_user(remaining - 1)()
 
-                service.submit(req, sim, on_done)
+                gateway.dispatch(req, on_done)
 
             return send
 
@@ -234,44 +248,43 @@ class TestUtilizationTelemetry:
 
 class TestDequeDrainOrder:
     """set_concurrency and worker handoff must preserve FIFO arrival order
-    now that the waiting room is a deque (and mixes record tuples with
-    columnar row ints)."""
+    now that the waiting room is a deque (of row ints and parked serving
+    batches)."""
 
     def test_set_concurrency_drains_fifo(self):
         service = make_service(concurrency=1, base=1.0, queue_capacity=100)
-        sim = Simulator()
+        sim, gateway = zero_overhead_gateway(service)
         started = []
 
-        def submit(i):
-            req = Request(request_id=i, route="svc")
-            service.submit(req, sim, lambda record: None)
-
         for i in range(6):
-            submit(i)
+            gateway.dispatch(Request(request_id=i, route="svc"), lambda r: None)
+        sim.run(until=0.0)  # the zero-leg submits land
         # one running, five queued; record the order processing starts
-        original_start = service._start
+        # (a fresh gateway log numbers its rows in dispatch order)
+        original_start = service._start_row
 
-        def tracking_start(record, *args, **kwargs):
-            started.append(record.request.request_id)
-            return original_start(record, *args, **kwargs)
+        def tracking_start(row):
+            started.append(row)
+            return original_start(row)
 
-        service._start = tracking_start
+        service._start_row = tracking_start
         service.set_concurrency(4, sim)
         assert started == [1, 2, 3]  # strictly from the queue head
         sim.run()
-        ends = [r.request.request_id for r in service.completed]
+        ends = [r.request.request_id for r in gateway.records]
         assert sorted(ends) == list(range(6))
 
     def test_shrink_lowers_cap_without_eviction(self):
         service = make_service(concurrency=4, base=1.0, queue_capacity=100)
-        sim = Simulator()
+        sim, gateway = zero_overhead_gateway(service)
         for i in range(8):
-            service.submit(Request(request_id=i, route="svc"), sim, lambda r: None)
+            gateway.dispatch(Request(request_id=i, route="svc"), lambda r: None)
+        sim.run(until=0.0)
         assert service.busy_workers == 4
         service.set_concurrency(1, sim)
         assert service.busy_workers == 4  # in-flight finish; pool drains down
         sim.run()
-        assert len(service.completed) == 8
+        assert len(gateway.records) == 8
         assert service.busy_workers == 0
 
     #: 4 workers, 12 one-second jobs, cap lowered to 1 at t=0: the four
@@ -304,55 +317,23 @@ class TestDequeDrainOrder:
 
     def test_shrink_with_backlog_retires_workers_record_path(self):
         service = make_service(concurrency=4, base=1.0, queue_capacity=100)
-        sim = Simulator()
+        sim, gateway = zero_overhead_gateway(service)
         ends, busy = [], []
 
-        def done(record):
+        def done(tracer, span, record):
+            # the probe fires as the station finishes a request, after
+            # the worker hand-off and before the response leg
             ends.append(record.end)
             busy.append(service.busy_workers)
 
+        service.probe = done
         for i in range(12):
-            service.submit(Request(request_id=i, route="svc"), sim, done)
+            gateway.dispatch(Request(request_id=i, route="svc"), lambda r: None)
+        sim.run(until=0.0)
         service.set_concurrency(1, sim)
         sim.run()
         assert ends == self.SHRINK_ENDS
         assert busy == self.SHRINK_BUSY
-
-    def test_mixed_record_and_row_entries_drain_in_arrival_order(self):
-        from repro.gateway.records import RecordLog
-
-        service = make_service(concurrency=1, base=1.0, queue_capacity=100)
-        sim = Simulator()
-        log = RecordLog(initial_capacity=8, retain=True)
-        completions = []
-        service.use_columnar(
-            log, sim, lambda svc, row, ok: completions.append(("row", row))
-        )
-        route_id = log.intern_route("svc")
-        payload_id = log.intern_payload("tabular")
-
-        # interleave: record, row, record, row — all while worker is busy
-        service.submit(
-            Request(request_id=100, route="svc"),
-            sim,
-            lambda record: completions.append(("rec", record.request.request_id)),
-        )
-        row_a = log.append(route_id, payload_id, sim.now)
-        service.submit_row(row_a)
-        service.submit(
-            Request(request_id=101, route="svc"),
-            sim,
-            lambda record: completions.append(("rec", record.request.request_id)),
-        )
-        row_b = log.append(route_id, payload_id, sim.now)
-        service.submit_row(row_b)
-        sim.run()
-        assert completions == [
-            ("rec", 100),
-            ("row", row_a),
-            ("rec", 101),
-            ("row", row_b),
-        ]
 
     def test_set_concurrency_growth_starts_queued_rows(self):
         from repro.gateway.records import RecordLog

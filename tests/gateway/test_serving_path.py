@@ -54,30 +54,6 @@ class TestCapacityBatching:
         assert stats["mean_batch"] > 1.0
         assert stats["peak_batch"] <= 4
 
-    def test_traced_record_hands_its_worker_to_a_parked_batch(self):
-        """A trace-sampled request finishing on the record path must
-        start whatever heads the shared FIFO — here, parked serving
-        batches, which are lists, not record tuples."""
-        sim, gateway = build_paper_deployment(seed=2)
-        runner = CapacityRunner(
-            sim,
-            gateway,
-            retain_records=True,
-            seed=2,
-            trace_every=7,
-            serving=ServingPolicy(max_batch=2, batch_window=0.001),
-        )
-        runner.add_open_loop(
-            PoissonArrivalGroup(route="shap", rate_rps=2000.0, n_requests=400)
-        )
-        report = runner.run()
-        service = gateway.service("shap")
-        assert service.peak_queue_length > 0
-        assert len(service.completed) > 0
-        assert report.n_requests == 400
-        assert runner.in_flight == 0
-        assert service.busy_workers == 0 and service.queue_length == 0
-
     def test_low_rate_flushes_by_deadline(self):
         runner, report = _capacity_run(
             ServingPolicy(max_batch=64, batch_window=0.002), rate_rps=50.0
