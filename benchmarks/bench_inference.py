@@ -33,6 +33,7 @@ measured numbers to ``BENCH_inference.json`` as the committed baseline.
 import dataclasses
 import json
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from repro.ml.forest import RandomForestClassifier
 from repro.tracing import TraceCollector, Tracer, critical_path
 from repro.xai.shap import KernelShapExplainer
 
+from tests.ml.reference_trees import forest_predict_proba_recursive
 from tests.xai.reference_shap import loop_shap_values
 
 import pytest
@@ -259,11 +261,11 @@ def measure_all():
     # -- flat vs recursive forest predict_proba on 12k rows ---------------
     forest, X_eval = _forest_case()
     flat_out = forest.predict_proba(X_eval)
-    recursive_out = forest.predict_proba_recursive(X_eval)
+    recursive_out = forest_predict_proba_recursive(forest, X_eval)
     results["forest_bitwise_equal"] = bool(np.array_equal(flat_out, recursive_out))
     flat_s = _best_of(lambda: forest.predict_proba(X_eval), repeats=5)
     recursive_s = _best_of(
-        lambda: forest.predict_proba_recursive(X_eval), repeats=3
+        lambda: forest_predict_proba_recursive(forest, X_eval), repeats=3
     )
     results["forest_flat_ms"] = flat_s * 1000
     results["forest_recursive_ms"] = recursive_s * 1000
@@ -277,7 +279,7 @@ def measure_all():
 
     def old_pipeline():
         return loop_shap_values(
-            model.predict_proba_recursive,
+            partial(forest_predict_proba_recursive, model),
             background,
             x,
             n_coalitions=256,
@@ -354,7 +356,11 @@ def _traced_old_shap(tracer, parent, model, background, x):
     """The seed pipeline wrapped in the same span the new engine opens."""
     with tracer.span("xai.shap", parent=parent):
         loop_shap_values(
-            model.predict_proba_recursive, background, x, n_coalitions=256, seed=0
+            partial(forest_predict_proba_recursive, model),
+            background,
+            x,
+            n_coalitions=256,
+            seed=0,
         )
 
 

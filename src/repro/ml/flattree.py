@@ -14,7 +14,8 @@ level-synchronous traversal over all trees at once.
 These kernels are the evaluation path for :class:`DecisionTreeClassifier`,
 :class:`DecisionTreeRegressor`, the random forest and the gradient-boosted
 ensembles.  Their contract is *bitwise* equivalence with the recursive
-``_route`` reference walk (property-tested in ``tests/ml/test_flattree.py``):
+reference walk (``tests/ml/reference_trees.py``, property-tested in
+``tests/ml/test_flattree.py``):
 each decides ``X[i, feature] <= threshold`` exactly as the walk does on the
 same float64 values and adds the identical leaf-value vectors in the same
 order, so not even the last ulp may differ.

@@ -123,19 +123,6 @@ class RandomForestClassifier(Classifier):
         self.flat_forest_.accumulate(X, total)
         return total / len(self.trees_)
 
-    def predict_proba_recursive(self, X: np.ndarray) -> np.ndarray:
-        """Per-node recursive reference path (equivalence oracle / bench)."""
-        if not self.trees_:
-            raise RuntimeError("model used before fit()")
-        X = np.asarray(X, dtype=np.float64)
-        n_classes = len(self.classes_)
-        total = np.zeros((X.shape[0], n_classes))
-        for tree in self.trees_:
-            proba = tree.predict_proba_recursive(X)
-            cols = tree.classes_.astype(int)
-            total[:, cols] += proba
-        return total / len(self.trees_)
-
     def feature_importances(self) -> np.ndarray:
         """Mean split-frequency importance across trees (sums to 1)."""
         if not self.trees_:

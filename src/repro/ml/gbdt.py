@@ -162,17 +162,6 @@ class GradientBoostedTreesClassifier(Classifier):
         scores = np.tile(self.base_score_, (X.shape[0], 1))
         return self.flat_forest_.accumulate(X, scores)
 
-    def decision_function_recursive(self, X: np.ndarray) -> np.ndarray:
-        """Per-node recursive reference path (equivalence oracle / bench)."""
-        if not self.trees_ or self.base_score_ is None:
-            raise RuntimeError("model used before fit()")
-        X = np.asarray(X, dtype=np.float64)
-        scores = np.tile(self.base_score_, (X.shape[0], 1))
-        for round_trees in self.trees_:
-            for c, tree in enumerate(round_trees):
-                scores[:, c] += self.learning_rate * tree.predict_recursive(X)
-        return scores
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(self.decision_function(X))
 

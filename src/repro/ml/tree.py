@@ -212,36 +212,6 @@ class DecisionTreeClassifier(Classifier):
             )
         return self.flat_.predict_value(X)
 
-    def predict_proba_recursive(self, X: np.ndarray) -> np.ndarray:
-        """Recursive reference walk — kept only as the equivalence oracle.
-
-        The flat kernel must agree with this bitwise; the property tests
-        and ``benchmarks/bench_inference.py`` are its only callers.
-        """
-        if not self.nodes_:
-            raise RuntimeError("model used before fit()")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_:
-            raise ValueError(
-                f"expected (n, {self.n_features_}) input, got {X.shape}"
-            )
-        out = np.empty((X.shape[0], len(self.classes_)))
-        self._route(X, np.arange(X.shape[0]), 0, out)
-        return out
-
-    def _route(
-        self, X: np.ndarray, idx: np.ndarray, node_id: int, out: np.ndarray
-    ) -> None:
-        node = self.nodes_[node_id]
-        if node.is_leaf:
-            out[idx] = node.value
-            return
-        go_left = X[idx, node.feature] <= node.threshold
-        if go_left.any():
-            self._route(X, idx[go_left], node.left, out)
-        if (~go_left).any():
-            self._route(X, idx[~go_left], node.right, out)
-
     @property
     def depth(self) -> int:
         """Actual depth of the fitted tree (root = 0)."""
@@ -433,25 +403,3 @@ class DecisionTreeRegressor:
             raise RuntimeError("model used before fit()")
         X = np.asarray(X, dtype=np.float64)
         return self.flat_.predict_value(X)[:, 0]
-
-    def predict_recursive(self, X: np.ndarray) -> np.ndarray:
-        """Recursive reference walk (equivalence oracle; see classifier)."""
-        if not self.nodes_:
-            raise RuntimeError("model used before fit()")
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0])
-        self._route(X, np.arange(X.shape[0]), 0, out)
-        return out
-
-    def _route(
-        self, X: np.ndarray, idx: np.ndarray, node_id: int, out: np.ndarray
-    ) -> None:
-        node = self.nodes_[node_id]
-        if node.is_leaf:
-            out[idx] = node.value[0]
-            return
-        go_left = X[idx, node.feature] <= node.threshold
-        if go_left.any():
-            self._route(X, idx[go_left], node.left, out)
-        if (~go_left).any():
-            self._route(X, idx[~go_left], node.right, out)

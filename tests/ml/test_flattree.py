@@ -1,6 +1,7 @@
 """The flat evaluation kernel's contract: *bitwise* equality with `_route`.
 
-The recursive walk and the flat iterative traversal evaluate the same
+The recursive walk (``tests/ml/reference_trees.py``) and the flat
+iterative traversal evaluate the same
 ``X[i, feature] <= threshold`` comparisons on the same float64 values and
 copy the same leaf-value vectors, so their outputs must agree to the last
 ulp — ``np.array_equal``, not ``allclose``.  Hypothesis drives random
@@ -31,6 +32,13 @@ from repro.ml.gbdt import (
 )
 from repro.ml.serialization import load_model, save_model
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+
+from tests.ml.reference_trees import (
+    forest_predict_proba_recursive,
+    gbdt_decision_function_recursive,
+    regressor_predict_recursive,
+    tree_predict_proba_recursive,
+)
 
 
 class TestFlatTreeStructure:
@@ -86,7 +94,8 @@ def test_flat_tree_bitwise_equals_recursive(seed, n_classes, depth, min_leaf):
     ).fit(X, y)
     X_test = gen.normal(size=(40, 4))
     assert np.array_equal(
-        model.predict_proba(X_test), model.predict_proba_recursive(X_test)
+        model.predict_proba(X_test),
+        tree_predict_proba_recursive(model, X_test),
     )
 
 
@@ -101,7 +110,9 @@ def test_flat_regressor_bitwise_equals_recursive(seed, growth):
         max_depth=4, growth=growth, max_leaves=7 if growth == "leaf" else None
     ).fit(X, g, h)
     X_test = gen.normal(size=(30, 3))
-    assert np.array_equal(model.predict(X_test), model.predict_recursive(X_test))
+    assert np.array_equal(
+        model.predict(X_test), regressor_predict_recursive(model, X_test)
+    )
 
 
 @settings(max_examples=10, deadline=None)
@@ -113,7 +124,8 @@ def test_flat_forest_bitwise_equals_recursive(seed):
     model = RandomForestClassifier(n_estimators=7, max_depth=5, seed=seed).fit(X, y)
     X_test = gen.normal(size=(25, 4))
     assert np.array_equal(
-        model.predict_proba(X_test), model.predict_proba_recursive(X_test)
+        model.predict_proba(X_test),
+        forest_predict_proba_recursive(model, X_test),
     )
 
 
@@ -126,7 +138,8 @@ def test_flat_gbdt_bitwise_equals_recursive(seed):
     model = GradientBoostedTreesClassifier(n_estimators=3, seed=seed).fit(X, y)
     X_test = gen.normal(size=(20, 3))
     assert np.array_equal(
-        model.decision_function(X_test), model.decision_function_recursive(X_test)
+        model.decision_function(X_test),
+        gbdt_decision_function_recursive(model, X_test),
     )
 
 
@@ -215,11 +228,11 @@ def _assert_kernels_agree(model, X):
     assert (kernel is not None) == _expects_bitvectors(_flats(model))
     if isinstance(model, RandomForestClassifier):
         assert np.array_equal(
-            model.predict_proba(X), model.predict_proba_recursive(X)
+            model.predict_proba(X), forest_predict_proba_recursive(model, X)
         )
     else:
         assert np.array_equal(
-            model.decision_function(X), model.decision_function_recursive(X)
+            model.decision_function(X), gbdt_decision_function_recursive(model, X)
         )
 
 
