@@ -21,11 +21,12 @@ The pieces, bottom up:
   events published inside a span carry ``trace_id``/``span_id`` labels,
   so a slow rollup bucket resolves to the exact traces inside it.
 
-Propagation is explicit (parents are passed by hand through
-``APIGateway.dispatch`` → ``MicroService`` → pipeline stages →
-``SensorRegistry.poll``): the single-threaded discrete-event simulation
-interleaves every in-flight request on one call stack, where ambient
-"current span" state would mis-attribute children.
+Propagation is explicit (parents are passed by hand from the
+gateway's span builder, ``APIGateway.trace_record``, to the pipeline
+stages and the station's probe → ``SensorRegistry.poll_spans``): the
+single-threaded discrete-event simulation interleaves every in-flight
+request on one call stack, where ambient "current span" state would
+mis-attribute children.
 """
 
 from repro.tracing.analysis import (
