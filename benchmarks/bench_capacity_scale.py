@@ -7,7 +7,8 @@ This bench gates the million-request capacity runner's four contracts:
   record path by ``CAPACITY_SPEEDUP_FLOOR``.  The baseline is the
   preserved seed implementation
   (:class:`~benchmarks.reference_loadgen.ReferenceLoadGenerator` — closure
-  chains, per-request record retention, re-filtering summary), mirroring
+  chains through the seed gateway and station, per-request record
+  retention, re-filtering summary), mirroring
   how ``bench_inference.py`` measures against the pre-vectorization SHAP
   loop;
 * the allocation-free event loop must sustain at least
