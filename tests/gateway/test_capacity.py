@@ -287,6 +287,28 @@ class TestTracingAndTelemetry:
         responses = [e for e in received if e.kind == KIND_RESPONSE]
         assert len(responses) <= runner.exemplar_slots * len(runner.route_stats)
 
+    def test_trace_every_is_ignored_without_a_recording_tracer(self):
+        """Under the default NullTracer nothing is sampled: the runner
+        never counts a send for sampling, and the run equals the
+        ``trace_every=0`` run."""
+        reports = []
+        for trace_every in (0, 1, 7):
+            sim, gateway = simple_deployment(jitter=0.2)
+            runner = CapacityRunner(
+                sim, gateway, seed=0, trace_every=trace_every
+            )
+            runner.add_thread_group(
+                ThreadGroup("svc", n_threads=5, rampup_seconds=0.1,
+                            iterations=20)
+            )
+            runner.add_open_loop(
+                PoissonArrivalGroup("svc", rate_rps=50.0, n_requests=100)
+            )
+            reports.append(runner.run())
+            assert not runner.tracing
+            assert runner.sent == 0
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
     def test_invalid_trace_every(self):
         sim, gateway = simple_deployment()
         with pytest.raises(ValueError):
