@@ -242,6 +242,7 @@ class RecordLog:
     def record(self, row: int) -> RequestRecord:
         """Materialise one row as the classic :class:`RequestRecord` view."""
         arrival = float(self.arrival[row])
+        ok = bool(self.ok[row])
         request = Request(
             request_id=row,
             route=self._routes.names[self.route_ids[row]],
@@ -253,8 +254,8 @@ class RecordLog:
             arrival=arrival,
             start=float(self.start[row]),
             end=float(self.end[row]),
-            success=bool(self.ok[row]),
-            error=self._errors.names[self.error_codes[row]],
+            success=ok,
+            error="" if ok else self._errors.names[self.error_codes[row]],
         )
 
     def records(self) -> List[RequestRecord]:

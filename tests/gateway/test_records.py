@@ -132,6 +132,7 @@ class TestRingMode:
         again = log.append(rid, pid, 2.0)
         assert again == row
         assert bool(log.ok[again])  # previous failure must not leak
+        assert log.record(again).error == ""
 
     def test_records_refused(self):
         log = RecordLog(retain=False)
