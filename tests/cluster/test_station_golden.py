@@ -27,6 +27,15 @@ Nine more runs pin the load-driver paths those six leave open:
   loop, so the open loop's arrival seed counts one entry pick per
   closed-loop user.
 
+Two runs cross open-loop arrival-chunk boundaries, which every run above
+stays short of (``ARRIVAL_CHUNK`` arrivals per group):
+
+* ``capacity_chunks`` — retained, untraced, two open-loop groups (three
+  boundaries between them) beside a closed-loop group, with queue-full
+  rejections;
+* ``cluster_chunks`` — retained, serving with cache and pool, a crash
+  and a slow fault, and every 97th request traced (the traced step).
+
 Each run hashes, section by section, every ``SummaryReport`` field
 (``per_route`` and ``timeline`` included), the exact
 :func:`summary_from_log` oracle and the rows (retained runs only), the
@@ -36,7 +45,9 @@ The first six runs' digests were computed by the code in which the
 cluster kept its own station class next to
 :class:`~repro.gateway.services.MicroService`; one station class must
 reproduce them exactly.  The nine runs after them were pinned while
-each runner still kept its own load driver.  The five serving-mode
+each runner still kept its own load driver, and the two chunk runs
+while each open-loop group bulk-loaded a whole chunk of arrivals into
+the event heap.  The five serving-mode
 cluster runs were re-pinned once, when a failed-over row started going
 through the replica's micro-batcher and admission control instead of
 straight onto a station worker.  The one tolerated
@@ -627,6 +638,64 @@ def cluster_threads_first_serving():
     return _cluster_digests(runner, report, tap)
 
 
+def capacity_chunks():
+    """Open loops that cross arrival-chunk boundaries (``ARRIVAL_CHUNK``
+    arrivals per chunk): three chunks of ``shap``, two of ``lime``."""
+    collector = TraceCollector(max_traces=16)
+    sim, gateway = build_paper_deployment(seed=41)
+    gateway.service("lime").queue_capacity = 10
+    tap = _Tap()
+    runner = CapacityRunner(
+        sim, gateway, retain_records=True, seed=41, telemetry=tap
+    )
+    runner.add_open_loop(
+        PoissonArrivalGroup("shap", rate_rps=380.0, n_requests=20_000)
+    )
+    runner.add_thread_group(
+        ThreadGroup(
+            "ai_pipeline", n_threads=6, rampup_seconds=1.0, iterations=250
+        )
+    )
+    runner.add_open_loop(
+        PoissonArrivalGroup(
+            "lime", rate_rps=330.0, n_requests=9000, start_at=2.5
+        )
+    )
+    report = runner.run()
+    return _capacity_digests(runner, gateway, report, tap, collector)
+
+
+def cluster_chunks():
+    """The traced open-loop step across chunk boundaries, with serving,
+    cache and pool on and a crash and a slow fault on ``shap``."""
+    policy = ServingPolicy(
+        max_batch=4,
+        batch_window=0.004,
+        shed_depth=40,
+        cache_size=32,
+        cache_items=2048,
+        pool_workers=2,
+    )
+    topology, runner, tap = _cluster(
+        seed=43, policy=policy, trace_every=97, response_every=50
+    )
+    runner.add_open_loop(
+        PoissonArrivalGroup("shap", rate_rps=700.0, n_requests=20_000)
+    )
+    runner.add_open_loop(
+        PoissonArrivalGroup(
+            "lime", rate_rps=450.0, n_requests=14_000, start_at=1.0
+        )
+    )
+    shap = topology.ring.preference("shap", 2)
+    plan = FaultPlan()
+    plan.add_crash(shap[0], 9.0, restart_at=14.0)
+    plan.add_slow(shap[1], 10.0, 6.0, 2.5)
+    runner.apply_fault_plan(plan)
+    report = runner.run()
+    return _cluster_digests(runner, report, tap)
+
+
 GOLDEN = {
     "capacity_classic": {
         "report": "fcd627509d2d9c57",
@@ -771,6 +840,26 @@ GOLDEN = {
         "spans": "e7396159043e0ae8",
         "events": "b31d035308c19b54",
     },
+    "capacity_chunks": {
+        "report": "34df117027aea510",
+        "oracle": "f2173cd0e3e9cc13",
+        "rows": "15da1a5231c1713f",
+        "serving_summary": "44136fa355b3678a",
+        "stations": "79441513fce4bb24",
+        "spans": "4f53cda18c2baa0c",
+        "events": "e2146184471f0893",
+    },
+    "cluster_chunks": {
+        "report": "e79bc6a5ddf8382d",
+        "oracle": "ed228cd11eb7d963",
+        "rows": "770770e01f805fe2",
+        "by_node": "552778dac91f8dc1",
+        "ledger": "66c49ae9a09bd707",
+        "serving_summary": "9a524a6c0f717944",
+        "stations": "4761295179daac08",
+        "spans": "393c45ff30db09df",
+        "events": "743a4a051fb4a11e",
+    },
 }
 
 RUNS = {
@@ -789,6 +878,8 @@ RUNS = {
     "cluster_open_untraced": cluster_open_untraced,
     "cluster_threads_first": cluster_threads_first,
     "cluster_threads_first_serving": cluster_threads_first_serving,
+    "capacity_chunks": capacity_chunks,
+    "cluster_chunks": cluster_chunks,
 }
 
 
