@@ -136,18 +136,18 @@ class APIGateway:
     def _not_found(self, request: Request, on_response) -> None:
         """Answer an unknown route with a 404 one routing leg later."""
         now = self.sim.now
+        answered = now + self.overhead_seconds
         error = f"404 unknown route {request.route!r}"
         record = RequestRecord(
             request=request,
             arrival=now,
             start=now,
-            end=now,
+            end=answered,
             success=False,
             error=error,
         )
         self.records.append(record)
         if self.tracer.is_recording:
-            answered = now + self.overhead_seconds
             root = self._root(request, now)
             self.tracer.start_span(
                 "gateway.route", parent=root, start_time=now

@@ -45,7 +45,13 @@ station hook on every request; with both filtered out, the parent's
 attributes reproduce exactly.  ``sponge`` was re-pinned once: its
 attacked run sends tabular and image requests to one station, whose
 service times now come from one pre-drawn block per payload kind
-instead of one generator call per request in arrival order.
+instead of one generator call per request in arrival order.  The
+``responses``, ``active_threads``, ``records`` and ``events`` sections
+of ``errors`` and ``traced_rig`` were re-pinned once, when a 404's
+record started ending one routing leg after its arrival, when its
+caller is answered, instead of at its arrival: those four sections
+carry the 404s' ``end`` or response time, and with the 404s' ``end``
+set back to their arrival they reproduce the parent's pins exactly.
 """
 
 import hashlib
@@ -527,11 +533,11 @@ GOLDEN = {
     },
     "errors": {
         "report": "1e6a769694fa2ee0",
-        "responses": "0c7d52a134707d77",
-        "active_threads": "8e4832fda7975fd2",
-        "records": "9dc6c204c335cce4",
+        "responses": "8f5c616f1cf1cad0",
+        "active_threads": "3c8b62ff94a6a737",
+        "records": "ec945fab16ede279",
         "stations": "29b96ae97706fe7d",
-        "events": "5392e73374926868",
+        "events": "b20181d094513620",
     },
     "autoscaler": {
         "report": "7b06a123e1829081",
@@ -576,11 +582,11 @@ GOLDEN = {
     },
     "traced_rig": {
         "report": "ce4a04a638b3a7e5",
-        "responses": "61d0409d03549996",
-        "active_threads": "682a89eae987067b",
-        "records": "055fe547e8ebbb8a",
+        "responses": "15c74420b796ffde",
+        "active_threads": "856bae3db8c9c156",
+        "records": "718500c926c3bb8e",
         "stations": "65987ee193c662e5",
-        "events": "7045c56cacda5611",
+        "events": "2cf649510f077ba5",
         "structure": "29186a15a1c62039",
         "attributes": "d5e4626691db2fca",
         "ids": "85a70af5af7b4b78",
