@@ -21,8 +21,9 @@ sampling, ledger and final events.  Workloads:
   scheduled callbacks (no per-iteration closures);
 * open-loop :class:`~repro.gateway.arrivals.PoissonArrivalGroup` — the
   "millions of independent users" workload, with arrival times drawn as
-  chunked numpy cumsums and bulk-loaded into the event heap one bounded
-  chunk at a time.
+  chunked numpy cumsums and chained through the event heap: each group
+  keeps exactly one future arrival there, so the heap holds only
+  pending work and every event's push and pop stay shallow.
 
 Gateway overhead is modelled arithmetically where ``dispatch`` uses
 events: a request's ``arrival`` is one overhead leg before its submit
@@ -44,6 +45,7 @@ and with a tracer that records nothing ``trace_every`` is ignored.
 
 from __future__ import annotations
 
+from array import array
 from heapq import heappush as _heappush
 from typing import Callable, Dict, List, Optional
 
@@ -66,8 +68,11 @@ from repro.telemetry.events import KIND_RESPONSE, KIND_SERVING, TelemetryEvent
 
 __all__ = ["CapacityRunner", "merged_report", "summary_from_log"]
 
-#: Arrivals bulk-loaded into the event heap per open-loop chunk; bounds
-#: both the numpy draw size and the number of pre-scheduled heap entries.
+#: Arrivals drawn per numpy call of an open-loop group, and held (as
+#: submit times) until the group has fired them.  Only one of them is on
+#: the event heap at a time.  The size also fixes where the cumsum
+#: restarts from a carried offset, so it is part of the workload's
+#: floats (see :func:`~repro.gateway.arrivals.arrival_chunks`).
 ARRIVAL_CHUNK = 8192
 
 
@@ -191,40 +196,56 @@ class _VirtualUser(_Driver):
 
 
 class _OpenLoopDriver(_Driver):
-    """Feeds one Poisson group's arrivals into the heap, chunk by chunk."""
+    """Keeps one Poisson group's next arrival on the event heap.
 
-    __slots__ = ("chunks",)
+    :meth:`load_chunk` turns the group's next chunk of arrival times into
+    submit times, schedules the first and holds the rest.  Each arrival,
+    when it fires, pushes the one after it before it submits its own
+    request (so an arrival still precedes, in tie-break order, every
+    event its request schedules), and the last of a chunk loads the next
+    chunk.  The heap therefore holds one future arrival per group,
+    whatever the chunk size.
+    """
+
+    __slots__ = ("chunks", "times", "queue", "counter")
 
     def __init__(
         self, runner, group: PoissonArrivalGroup, submit, entry, rng
     ) -> None:
         super().__init__(runner, group, submit, entry)
         self.chunks = arrival_chunks(group, rng, ARRIVAL_CHUNK)
+        self.queue = runner._sim_queue
+        self.counter = runner._sim_counter
         #: per-arrival callback; see _VirtualUser.step
         self.step = self.fire if runner.tracing else self._fire_untraced
 
     def load_chunk(self) -> None:
-        """Bulk-load the next arrival chunk; chain the following load.
+        """Schedule the next chunk's first arrival; hold the others.
 
-        The chain event is pushed *after* this chunk's fire events at the
-        same timestamp as the last of them, so the heap never holds more
-        than one chunk of future arrivals per group.
+        An arrival fires at its submit time (arrival + one gateway leg;
+        see :meth:`fire`), computed as ``now + (t + (overhead - now))``
+        with ``now`` the load time: the sum :meth:`Simulator.schedule`
+        forms for that delay, so a chunk loads the same floats whether
+        its times are scheduled one by one or chained.  The first goes
+        through ``schedule``, whose guard refuses a time before the
+        clock; a chunk's times never decrease, so that covers the chunk.
         """
         times = next(self.chunks, None)
         if times is None:
             return
         sim = self.sim
-        fire = self.step
-        schedule = sim.schedule
-        # fire at submit time (arrival + one gateway leg); see fire()
-        shift = self.overhead - sim.now
-        delays = (times + shift).tolist()
-        for delay in delays:
-            schedule(delay, fire)
-        schedule(delays[-1], self.load_chunk)
+        now = sim.now
+        delays = times + (self.overhead - now)
+        sim.schedule(float(delays[0]), self.step)
+        self.times = iter(array("d", (delays[1:] + now).tobytes()))
 
     def fire(self) -> None:
         """One open-loop arrival, already shifted to its submit time."""
+        at = next(self.times, None)
+        if at is None:
+            self.load_chunk()
+        else:
+            _heappush(self.queue, (at, next(self.counter), self.step, _NO_ARG))
         runner = self.runner
         runner.sent += 1
         if runner.sent % runner.trace_every == 0:
@@ -240,6 +261,11 @@ class _OpenLoopDriver(_Driver):
         self.submit(row)
 
     def _fire_untraced(self) -> None:
+        at = next(self.times, None)
+        if at is None:
+            self.load_chunk()
+        else:
+            _heappush(self.queue, (at, next(self.counter), self.step, _NO_ARG))
         log = self.log
         row = log.append(
             self.route_id, self.payload_id, self.sim.now - self.overhead
@@ -414,8 +440,10 @@ class _ColumnarRunner:
         # the free list) rather than through dict lookups and a release
         # call; retain mode keeps every row, so it has no free list
         self._free = None if retain_records else self.log._free
-        # closed-loop continuation is a pure heap push (the think delay
-        # is non-negative by construction) — see MicroService.use_columnar
+        # closed-loop continuation and the open-loop arrival chain are
+        # pure heap pushes (the think delay is non-negative by
+        # construction, and a chunk's submit times never decrease) — see
+        # MicroService.use_columnar
         self._sim_queue = sim._queue
         self._sim_counter = sim._counter
         self._groups = 0
