@@ -28,7 +28,7 @@ class TestPoissonArrivalGroup:
 class TestArrivalChunks:
     def test_chunking_matches_single_cumsum(self):
         # same draws, same workload; only float summation order differs
-        # at chunk boundaries (numpy cumsum uses pairwise partial sums)
+        # (each chunk's cumsum starts from zero; the offset is added after)
         group = PoissonArrivalGroup(
             "shap", rate_rps=250.0, n_requests=10_000, start_at=3.0
         )
