@@ -14,9 +14,10 @@ This bench gates the million-request capacity runner's four contracts:
 * the allocation-free event loop must sustain at least
   ``EVENTS_PER_SECOND_FLOOR`` simulator events per second on a
   near-capacity open-loop workload (best of three passes);
-* the streaming quantile sketch must agree with the exact vectorized
-  oracle (:func:`~repro.gateway.capacity.summary_from_log`) to within
-  ``SKETCH_REL_ERROR_CEIL`` at p50/p95/p99 on the replay's retained log;
+* the streaming quantile sketch must agree with the exact oracle
+  (:meth:`~repro.gateway.loadgen.SummaryReport.from_records` over the
+  replay's completed records) to within ``SKETCH_REL_ERROR_CEIL`` at
+  p50/p95/p99 on the replay's retained log;
 * a 1M-request open-loop run in ring mode must finish with the record
   log's capacity unchanged (memory bounded by in-flight count, not run
   length) while still publishing telemetry summaries and trace-linked
@@ -34,9 +35,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.gateway import ThreadGroup, build_paper_deployment
+from repro.gateway import SummaryReport, ThreadGroup, build_paper_deployment
 from repro.gateway.arrivals import PoissonArrivalGroup
-from repro.gateway.capacity import CapacityRunner, summary_from_log
+from repro.gateway.capacity import CapacityRunner
 from repro.telemetry import KIND_LOAD_SUMMARY, KIND_RESPONSE, TelemetryBus
 from repro.tracing import TraceCollector, Tracer
 
@@ -217,7 +218,10 @@ def measure_all():
     )
 
     # -- sketch vs exact oracle on the replay's retained log --------------
-    oracle = summary_from_log(runner.log, columnar_report.duration_seconds)
+    oracle = SummaryReport.from_records(
+        [r for r in runner.log.records() if r.end > 0.0],
+        columnar_report.duration_seconds,
+    )
     for q, field in (
         (50, "median_response_ms"),
         (95, "p95_response_ms"),

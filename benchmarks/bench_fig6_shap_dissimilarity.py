@@ -37,7 +37,7 @@ def dissimilarity_series(uc1_split, figure_printer):
         explainer = KernelShapExplainer(
             model.predict_proba, X_train[:30], n_coalitions=48, seed=0
         )
-        explanations = explainer.shap_values_batch(falls, class_index=1)
+        explanations = explainer.shap_values_batch_exact(falls, class_index=1)
         series[rate] = knn_explanation_dissimilarity(falls, explanations, k=5)
     figure_printer(
         "Fig. 6(a)-iv: SHAP dissimilarity of 5-NN fall explanations",
@@ -84,4 +84,4 @@ def bench_fig6iv_explanation_cost(benchmark, uc1_split):
         model.predict_proba, X_train[:20], n_coalitions=32, seed=0
     )
     falls = X_test[y_test == 1][:5]
-    benchmark(lambda: explainer.shap_values_batch(falls, class_index=1))
+    benchmark(lambda: explainer.shap_values_batch_exact(falls, class_index=1))

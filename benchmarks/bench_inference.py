@@ -10,7 +10,12 @@ This bench gates the vectorized inference engine's two contracts:
   driving recursive tree predictions — by ``SHAP_SPEEDUP_FLOOR`` while
   agreeing to 1e-8.
 
-A third gate bounds Kernel SHAP's own cost on the serving fixture (RF,
+A batch of 16 rows through ``shap_values_batch_exact`` must cost at most
+1.15x a single explanation per row: the median, over seven rounds that
+alternate which runs first, of each round's batch-per-row over single
+time.
+
+Another gate bounds Kernel SHAP's own cost on the serving fixture (RF,
 10 trees of depth 6; 32 background rows; 64 coalitions):
 ``shap_values_batch_exact`` over 40 eight-row batches, timed once with
 the real forest and once with a stand-in ``predict_fn`` that returns
@@ -179,6 +184,38 @@ def _shap_self_share(results):
     results["shap_batch_self_ms"] = float(np.median(stand_in_ms))
 
 
+def _shap_batch_amortization(results, explainer, x, X_batch):
+    """Per-row time of one ``shap_values_batch_exact`` call over the time
+    of one ``shap_values`` call, on the 256-coalition SHAP case.
+
+    Seven rounds alternate which of the two runs first; each round's
+    ratio divides the batch's per-row time by the single time of the same
+    round, so host drift hits both sides of every ratio.
+    """
+    n_rows = X_batch.shape[0]
+
+    def timed(fn, arg):
+        start = time.perf_counter()
+        fn(arg)
+        return time.perf_counter() - start
+
+    explainer.shap_values_batch_exact(X_batch)  # warm-up
+    ratios, per_row_ms = [], []
+    for round_ in range(7):
+        if round_ % 2:
+            batch_s = timed(explainer.shap_values_batch_exact, X_batch)
+            single_s = timed(explainer.shap_values, x)
+        else:
+            single_s = timed(explainer.shap_values, x)
+            batch_s = timed(explainer.shap_values_batch_exact, X_batch)
+        ratios.append(batch_s / n_rows / single_s)
+        per_row_ms.append(batch_s / n_rows * 1000)
+    results["shap_batch_rows"] = n_rows
+    results["shap_batch_per_row_ms"] = float(np.median(per_row_ms))
+    results["shap_batch_ratio"] = float(np.median(ratios))
+    results["shap_batch_ratio_rounds"] = ratios
+
+
 def _leaf_kernel_cases():
     """Forests the leaf kernel is selected for, with their feature counts.
 
@@ -295,10 +332,8 @@ def measure_all():
     results["shap_old_ms"] = old_s * 1000
     results["shap_speedup"] = old_s / new_s
 
-    # -- batch amortization: shared coalitions + one KKT factorization ----
-    batch_s = _best_of(lambda: explainer.shap_values_batch(X_batch), repeats=2)
-    results["shap_batch_rows"] = X_batch.shape[0]
-    results["shap_batch_per_row_ms"] = batch_s / X_batch.shape[0] * 1000
+    # -- batch amortization: shared design + stacked model evaluation ----
+    _shap_batch_amortization(results, explainer, x, X_batch)
 
     # -- capacity replay: Fig. 8 with the rescaled SHAP service time ------
     before = _run_shap_route()
@@ -473,12 +508,16 @@ def bench_shap_single_explanation_speedup(check, measurements):
 
 
 def bench_shap_batch_amortizes(check, measurements):
-    """Batch rows share one coalition sample + KKT solve: per-row cost
-    must not exceed the single-explanation cost (small noise margin)."""
+    """Batch rows share the coalition design and the stacked model
+    evaluation: per-row cost must not exceed the single-explanation cost
+    (median over alternated rounds, small noise margin)."""
 
     def verify():
-        assert measurements["shap_batch_per_row_ms"] <= (
-            1.15 * measurements["shap_new_ms"]
+        ratio = measurements["shap_batch_ratio"]
+        print(f"\nshap batch/row over single: median {ratio:.3f} (ceiling 1.15)")
+        assert ratio <= 1.15, (
+            f"batch per-row cost {ratio:.3f}x a single explanation, "
+            "above the 1.15x ceiling"
         )
 
     check(verify)

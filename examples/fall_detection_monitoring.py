@@ -81,7 +81,7 @@ def main() -> None:
         explainer = KernelShapExplainer(
             model.predict_proba, X_train[:30], n_coalitions=48, seed=0
         )
-        explanations = explainer.shap_values_batch(falls, class_index=1)
+        explanations = explainer.shap_values_batch_exact(falls, class_index=1)
         metric = knn_explanation_dissimilarity(falls, explanations, k=5)
         print(f"  p={rate:4.0%}  dissimilarity={metric:.4f}")
 

@@ -753,7 +753,7 @@ def unbatched_kernel_call(context: ProjectContext) -> Iterator[Finding]:
                 f"{qualname} calls a per-request kernel inside a loop "
                 f"({hops} reaches {kernel}) — coalesce the loop through "
                 f"repro.serving's micro-batcher into one fused "
-                f"predict/shap_values_batch call"
+                f"predict/shap_values_batch_exact call"
             ),
         )
         context.explanations[

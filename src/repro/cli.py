@@ -190,7 +190,7 @@ def _print_serving_summary(summary: dict) -> None:
 def _cmd_capacity(args: argparse.Namespace) -> int:
     import time as _time
 
-    from repro.gateway import LoadGenerator, ThreadGroup, build_paper_deployment
+    from repro.gateway import ThreadGroup, build_paper_deployment
     from repro.gateway.arrivals import PoissonArrivalGroup
     from repro.gateway.capacity import CapacityRunner
 
@@ -200,32 +200,6 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     serving = _serving_policy_from_args(args)
-    if args.engine == "records":
-        if args.open_loop is not None:
-            print("--open-loop requires --engine columnar", file=sys.stderr)
-            return 2
-        if serving is not None:
-            print(
-                "--batch-window/--max-batch/--cache-size/--shed-depth "
-                "require --engine columnar",
-                file=sys.stderr,
-            )
-            return 2
-        generator = LoadGenerator(sim, gateway)
-        generator.add_thread_group(
-            ThreadGroup(
-                route=args.route,
-                n_threads=args.threads,
-                rampup_seconds=1.0,
-                iterations=args.iterations,
-                payload=args.payload,
-            )
-        )
-        report = generator.run()
-        print(f"capacity test: route={args.route} threads={args.threads} "
-              f"payload={args.payload} engine=records")
-        print("  " + report.render_text())
-        return 0
     runner = CapacityRunner(
         sim,
         gateway,
@@ -258,8 +232,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     report = runner.run()
     elapsed = _time.perf_counter() - started
     print(f"capacity test: route={args.route} {shape} "
-          f"payload={args.payload} engine=columnar"
-          f"{' (ring)' if args.no_retain else ''}")
+          f"payload={args.payload}{' (ring)' if args.no_retain else ''}")
     print("  " + report.render_text())
     if serving is not None:
         _print_serving_summary(runner.serving_summary())
@@ -913,13 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
     capacity.add_argument("--iterations", type=int, default=20)
     capacity.add_argument("--payload", default="tabular")
     capacity.add_argument("--seed", type=int, default=1)
-    capacity.add_argument(
-        "--engine",
-        choices=["columnar", "records"],
-        default="columnar",
-        help="columnar = streaming CapacityRunner (default); "
-        "records = LoadGenerator with one RequestRecord per request",
-    )
     capacity.add_argument(
         "--open-loop",
         type=float,

@@ -365,7 +365,7 @@ class ExplanationDriftSensor(AISensor):
             n_coalitions=self.n_coalitions,
             seed=self.seed,
         )
-        explanations = explainer.shap_values_batch(rows, self.class_index)
+        explanations = explainer.shap_values_batch_exact(rows, self.class_index)
         dissimilarity = knn_explanation_dissimilarity(
             rows, explanations, k=min(self.k, take - 1)
         )

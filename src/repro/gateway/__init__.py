@@ -35,12 +35,7 @@ from repro.gateway.cluster import (
     PAPER_STAGE_PROFILES,
     build_paper_deployment,
 )
-from repro.gateway.loadgen import (
-    LoadGenerator,
-    SummaryReport,
-    ThreadGroup,
-    run_load_test,
-)
+from repro.gateway.loadgen import LoadGenerator, SummaryReport, ThreadGroup
 from repro.gateway.records import RecordLog
 from repro.gateway.sketches import (
     ExemplarSlots,
@@ -50,7 +45,7 @@ from repro.gateway.sketches import (
     StreamingMoments,
 )
 from repro.gateway.arrivals import PoissonArrivalGroup, arrival_chunks
-from repro.gateway.capacity import CapacityRunner, summary_from_log
+from repro.gateway.capacity import CapacityRunner
 
 __all__ = [
     "APIGateway",
@@ -82,6 +77,4 @@ __all__ = [
     "ThreadGroup",
     "arrival_chunks",
     "build_paper_deployment",
-    "run_load_test",
-    "summary_from_log",
 ]

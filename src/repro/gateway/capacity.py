@@ -66,7 +66,7 @@ from repro.serving.cache import ExplanationCache
 from repro.serving.policy import ServingPolicy
 from repro.telemetry.events import KIND_RESPONSE, KIND_SERVING, TelemetryEvent
 
-__all__ = ["CapacityRunner", "merged_report", "summary_from_log"]
+__all__ = ["CapacityRunner", "merged_report"]
 
 #: Arrivals drawn per numpy call of an open-loop group, and held (as
 #: submit times) until the group has fired them.  Only one of them is on
@@ -558,9 +558,11 @@ class CapacityRunner(_ColumnarRunner):
         hot path, and its tracer and span builder trace the
         ``trace_every`` sampled requests.
     retain_records:
-        ``True`` keeps every row (enables :meth:`records` and the exact
-        :func:`summary_from_log` oracle); ``False`` recycles completed
-        rows so memory is bounded by the in-flight count.
+        ``True`` keeps every row (enables :meth:`records`, whose completed
+        records give the exact oracle,
+        :meth:`~repro.gateway.loadgen.SummaryReport.from_records`);
+        ``False`` recycles completed rows so memory is bounded by the
+        in-flight count.
     seed:
         Master seed for arrival processes and the stats reservoirs.
     trace_every:
@@ -843,71 +845,4 @@ def merged_report(
         duration_seconds=duration,
         p99_response_ms=p99,
         timeline=timeline,
-    )
-
-
-def summary_from_log(log: RecordLog, duration: float) -> SummaryReport:
-    """Exact summary over a retained log: the vectorized percentile oracle.
-
-    Equivalent to ``SummaryReport.from_records(log.records(), duration)``
-    but computed in a handful of whole-column numpy passes — the
-    reference the sketch-based :meth:`CapacityRunner.summary` is checked
-    against (counts exactly, percentiles within sketch tolerance).  Rows
-    still in flight (``end == 0``) are excluded, matching the streaming
-    path which only observes completions.
-    """
-    if not log.retain:
-        raise ValueError("summary_from_log needs retain=True")
-    n = log.size
-    completed = log.end[:n] > 0.0
-    if not completed.any():
-        return SummaryReport(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, duration)
-    arrival = log.arrival[:n][completed]
-    end = log.end[:n][completed]
-    ok = log.ok[:n][completed]
-    route_ids = log.route_ids[:n][completed]
-    report = _exact_report(arrival, end, ok, duration)
-    present = np.unique(route_ids)
-    if len(present) > 1:
-        for route_id in present:
-            mask = route_ids == route_id
-            report.per_route[log.route_name(int(route_id))] = _exact_report(
-                arrival[mask], end[mask], ok[mask], duration
-            )
-    return report
-
-
-def _exact_report(
-    arrival: np.ndarray, end: np.ndarray, ok: np.ndarray, duration: float
-) -> SummaryReport:
-    times_ms = (end[ok] - arrival[ok]) * 1000.0
-    n_requests = int(arrival.shape[0])
-    n_ok = int(times_ms.shape[0])
-    if n_ok:
-        end_ok = end[ok]
-        order = np.lexsort((times_ms, end_ok))
-        timeline = list(
-            zip(end_ok[order].tolist(), times_ms[order].tolist())
-        )
-        return SummaryReport(
-            n_requests=n_requests,
-            n_errors=n_requests - n_ok,
-            avg_response_ms=float(times_ms.mean()),
-            median_response_ms=float(np.median(times_ms)),
-            p95_response_ms=float(np.percentile(times_ms, 95)),
-            max_response_ms=float(times_ms.max()),
-            throughput_rps=n_ok / duration if duration > 0 else 0.0,
-            duration_seconds=duration,
-            p99_response_ms=float(np.percentile(times_ms, 99)),
-            timeline=timeline,
-        )
-    return SummaryReport(
-        n_requests=n_requests,
-        n_errors=n_requests,
-        avg_response_ms=0.0,
-        median_response_ms=0.0,
-        p95_response_ms=0.0,
-        max_response_ms=0.0,
-        throughput_rps=0.0,
-        duration_seconds=duration,
     )

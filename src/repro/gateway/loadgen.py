@@ -282,20 +282,3 @@ class LoadGenerator:
             self.telemetry.pump()
         return report
 
-
-def run_load_test(
-    gateway_builder,
-    groups: List[ThreadGroup],
-    seed: int = 0,
-) -> SummaryReport:
-    """Convenience wrapper: build a deployment, apply groups, run, report.
-
-    ``gateway_builder`` is a callable like
-    :func:`repro.gateway.cluster.build_paper_deployment` accepting ``seed``
-    and returning ``(sim, gateway)``.
-    """
-    sim, gateway = gateway_builder(seed=seed)
-    generator = LoadGenerator(sim, gateway)
-    for group in groups:
-        generator.add_thread_group(group)
-    return generator.run()

@@ -18,9 +18,10 @@ Fused execution is bitwise-faithful to per-request calls:
 batches go through
 :meth:`~repro.xai.shap.KernelShapExplainer.shap_values_batch_exact`,
 which shares the coalition design and marginal evaluation but solves
-each instance independently (the shared multi-column solve is *not*
-bitwise-stable; see xai/shap.py).  ``benchmarks/bench_serving.py``
-gates both the equality and the >=3x throughput win.
+each instance independently — the explainer's one batch path, so a
+served attribution carries the bits of per-row ``shap_values``.
+``benchmarks/bench_serving.py`` gates both the equality and the >=3x
+throughput win.
 
 The engine never reads a clock — every entry point takes ``now`` — so
 it is pure given (inputs, now) and runs identically under wall time and

@@ -16,13 +16,15 @@ are stacked into one matrix — a broadcast copy of the background, then one
 indexed write per feature of the instance values into that feature's
 on-mask rows — and evaluated in a single ``predict_fn`` call (chunked only
 past a fixed row budget); per-coalition means come from one grouped
-``np.add.reduceat``.  :meth:`KernelShapExplainer.shap_values_batch` folds a
-whole batch into one multi-column solve;
-:meth:`KernelShapExplainer.shap_values_batch_exact` solves per instance and
-is what :meth:`~KernelShapExplainer.shap_values` runs for its one row.  A
-per-coalition loop implementation and a vectorized one that rebuilds the
-design on every call live in ``tests/xai/reference_shap.py`` as the
-equivalence oracles for tests and benches.
+``np.add.reduceat``.  Every attribution :class:`KernelShapExplainer`
+returns comes from one path: its ``shap_values_batch_exact`` solves each
+instance on its own, :meth:`~KernelShapExplainer.shap_values` is its
+one-row case and :meth:`~KernelShapExplainer.mean_abs_importance` averages
+its output, so a batched attribution carries exactly the bits of the
+per-row one.  A per-coalition loop implementation and a vectorized one
+that rebuilds the design on every call live in
+``tests/xai/reference_shap.py`` as the equivalence oracles for tests and
+benches.
 """
 
 from __future__ import annotations
@@ -125,13 +127,13 @@ class _CoalitionDesign:
     def solve(self, y: np.ndarray, total: np.ndarray) -> np.ndarray:
         """Constrained weighted least squares: min ||Zφ−y||_W s.t. Σφ = total.
 
-        ``y`` and ``total`` may be matrices (one column per instance ×
-        output pair).  The operations are the per-call factorisation's, in
-        its order, with the factors read from the design — so the result
-        is bitwise the one a fresh ``pinv`` would give: ``b - lam``
-        broadcasts the row of multipliers, which is exactly the
-        ``outer(1, lam)`` the factorisation subtracts, since 1.0 × λ = λ.
-        ``y`` is 2-D at every caller.
+        One instance per call: ``y`` is (n_masks, n_outputs) and ``total``
+        (n_outputs,), one column per output.  The operations are the
+        per-call factorisation's, in its order, with the factors read from
+        the design — so the result is bitwise the one a fresh ``pinv``
+        would give: ``b - lam`` broadcasts the row of multipliers, which
+        is exactly the ``outer(1, lam)`` the factorisation subtracts, since
+        1.0 × λ = λ.
         """
         b = self.Z.T @ (self.W * y)
         # KKT multiplier per output column
@@ -354,53 +356,22 @@ class KernelShapExplainer:
             )
         return self._explain_exact(x.reshape(1, -1), class_index)[0]
 
-    def shap_values_batch(
-        self, X: np.ndarray, class_index: Optional[int] = None
-    ) -> np.ndarray:
-        """Explain many instances through one multi-column KKT solve.
-
-        Every row shares the design, the stacked model evaluation and the
-        solve (instances are extra columns of the weighted least-squares
-        right-hand side) — the same estimate the per-row path produces, up
-        to BLAS blocking in the wider solve.  Returns (n, d) with
-        ``class_index``, else (n, d, n_outputs).
-        """
-        X = self._check_batch(X)
-        n_inst, d = X.shape
-        if n_inst == 0:
-            n_out = self.base_values_.shape[0]
-            shape = (0, d) if class_index is not None else (0, d, n_out)
-            return np.zeros(shape)
-        total, y = self._marginals(X)
-        if y is None:
-            phi = total[:, None, :]
-        else:
-            n_out = total.shape[1]
-            # fold (instance, output) into columns: one KKT solve for everything
-            y_cols = y.transpose(1, 0, 2).reshape(self._design.n_masks, n_inst * n_out)
-            phi = self._design.solve(y_cols, total.reshape(-1))
-            phi = phi.reshape(d, n_inst, n_out).transpose(1, 0, 2)
-        if class_index is not None:
-            return phi[:, :, class_index]
-        return phi
-
     def shap_values_batch_exact(
         self, X: np.ndarray, class_index: Optional[int] = None
     ) -> np.ndarray:
         """Batch explanation bitwise-equal to per-row ``shap_values``.
 
-        The serving layer promises that batching never changes a result
-        (benchmarks/bench_serving.py asserts bitwise equality), which
-        :meth:`shap_values_batch` cannot: folding instances into extra
-        columns of one KKT solve changes BLAS blocking, so results drift
-        at ~1e-7 from the per-row path.  This variant shares everything
-        that *is* row-stable — the design and the grouped marginal
-        evaluation (``np.add.reduceat`` reduces each instance's segments
-        independently, and the compiled forests are row-stable under
-        stacking) — then solves each instance on its own, which is all
-        the per-row path does.  The cost kept by sharing dominates (model
-        evaluation), so this stays close to the fully-fused solve while
-        matching the per-request oracle bit for bit.
+        Returns (n, d) with ``class_index``, else (n, d, n_outputs).  The
+        rows share everything that *is* row-stable — the design and the
+        grouped marginal evaluation (``np.add.reduceat`` reduces each
+        instance's segments independently, and the compiled forests are
+        row-stable under stacking) — and each instance then gets its own
+        KKT solve, which is all the per-row path does.  Instances are not
+        folded into extra columns of one solve, whose wider BLAS blocking
+        would move the last bits; the solve is cheap next to the model
+        evaluation the rows do share.  The serving layer's promise
+        that batching never changes a result rests on this
+        (``benchmarks/bench_serving.py`` asserts bitwise equality).
         """
         return self._explain_exact(self._check_batch(X), class_index)
 
@@ -409,10 +380,11 @@ class KernelShapExplainer:
     ) -> np.ndarray:
         """Per-instance solves over shared marginals, for a checked batch.
 
-        Both :meth:`shap_values` and :meth:`shap_values_batch_exact` run
-        this, so they agree by construction, yet stay separate entry
-        points: a fault injected into the batched one still shows against
-        the per-row one.
+        Every attribution the explainer returns comes from here —
+        :meth:`shap_values`, :meth:`shap_values_batch_exact` and
+        :meth:`mean_abs_importance` — so they agree by construction, yet
+        the entry points stay separate: a fault injected into the batched
+        one still shows against the per-row one.
         """
         n_inst, d = X.shape
         n_out = self.base_values_.shape[0]
@@ -438,4 +410,4 @@ class KernelShapExplainer:
         This is the ranking the Fig. 7(a/b) before/after-evasion comparison
         is built from.
         """
-        return np.abs(self.shap_values_batch(X, class_index)).mean(axis=0)
+        return np.abs(self.shap_values_batch_exact(X, class_index)).mean(axis=0)

@@ -37,10 +37,11 @@ stays short of (``ARRIVAL_CHUNK`` arrivals per group):
   and a slow fault, and every 97th request traced (the traced step).
 
 Each run hashes, section by section, every ``SummaryReport`` field
-(``per_route`` and ``timeline`` included), the exact
-:func:`summary_from_log` oracle and the rows (retained runs only), the
-per-node reports and conservation ledger, the serving summary, the
-per-station counters, every finished span and every published event.
+(``per_route`` and ``timeline`` included), the exact oracle
+(``SummaryReport.from_records`` over the completed rows) and the rows
+(retained runs only), the per-node reports and conservation ledger, the
+serving summary, the per-station counters, every finished span and every
+published event.
 The first six runs' digests were computed by the code in which the
 cluster kept its own station class next to
 :class:`~repro.gateway.services.MicroService`; one station class must
@@ -72,8 +73,7 @@ import pytest
 from repro.cluster import ClusterRunner, ClusterTopology, FaultPlan, RouteSpec
 from repro.gateway import CapacityRunner, build_paper_deployment
 from repro.gateway.arrivals import PoissonArrivalGroup
-from repro.gateway.capacity import summary_from_log
-from repro.gateway.loadgen import ThreadGroup
+from repro.gateway.loadgen import SummaryReport, ThreadGroup
 from repro.gateway.simulation import Simulator
 from repro.serving import ServingPolicy
 from repro.telemetry import TelemetryBus
@@ -218,7 +218,9 @@ def _retained(runner, duration):
     if not runner.log.retain:
         return {}
     return {
-        "oracle": _digest(_report(summary_from_log(runner.log, duration))),
+        "oracle": _digest(_report(SummaryReport.from_records(
+            [r for r in runner.log.records() if r.end > 0.0], duration
+        ))),
         "rows": _digest(_rows(runner.log)),
     }
 

@@ -51,23 +51,6 @@ class TestCommands:
         assert main(["capacity", "--route", "nope"]) == 2
         assert "unknown route" in capsys.readouterr().err
 
-    def test_capacity_records_engine(self, capsys):
-        assert main(["capacity", "--engine", "records", "--threads", "10",
-                     "--iterations", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "engine=records" in out
-        assert "avg=" in out
-
-    def test_capacity_engines_agree_on_counts(self, capsys):
-        assert main(["capacity", "--threads", "10", "--iterations", "3"]) == 0
-        columnar = capsys.readouterr().out
-        assert main(["capacity", "--engine", "records", "--threads", "10",
-                     "--iterations", "3"]) == 0
-        records = capsys.readouterr().out
-        assert "samples=30" in columnar and "samples=30" in records
-        assert "engine=columnar" in columnar
-        assert "events/s" in columnar  # throughput line is columnar-only
-
     def test_capacity_open_loop_ring(self, capsys):
         assert main(["capacity", "--open-loop", "50", "--requests", "200",
                      "--no-retain"]) == 0
@@ -76,11 +59,6 @@ class TestCommands:
         assert "(ring)" in out
         assert "samples=200" in out
         assert "recycled" in out
-
-    def test_capacity_open_loop_needs_columnar(self, capsys):
-        assert main(["capacity", "--engine", "records",
-                     "--open-loop", "50"]) == 2
-        assert "--engine columnar" in capsys.readouterr().err
 
     def test_baselines_small(self, capsys):
         assert main(["baselines", "--samples", "400"]) == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import sensors
 from repro.core.sensors import (
     DataQualitySensor,
     ExplanationDriftSensor,
@@ -14,6 +15,7 @@ from repro.core.sensors import (
     PrivacySensor,
     ResilienceSensor,
 )
+from repro.ml import RandomForestClassifier
 from repro.trust.properties import TrustProperty
 from repro.trust.resilience import ResilienceReport
 
@@ -110,7 +112,43 @@ class TestResilienceSensor:
         assert reading.details["kind_is_evasion"] == 1.0
 
 
+@pytest.fixture(scope="module")
+def forest_context():
+    """The ``monitor-ingest`` benchmark's sensor fixture: a 10-tree,
+    depth-6 forest on the seed-7 data."""
+    gen = np.random.default_rng(7)
+    X = gen.normal(size=(600, 6))
+    y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(int)
+    model = RandomForestClassifier(n_estimators=10, max_depth=6, seed=0)
+    return ModelContext(
+        model=model.fit(X[:400], y[:400]),
+        X_train=X[:400],
+        y_train=y[:400],
+        X_test=X[400:],
+        y_test=y[400:],
+    )
+
+
 class TestExplanationSensor:
+    def test_details_are_mean_abs_per_row_shap_bitwise(
+        self, forest_context, monkeypatch
+    ):
+        """``details`` hold the mean |per-row ``shap_values``| of the
+        sampled rows, bit for bit."""
+        calls = []
+
+        class Spy(sensors.KernelShapExplainer):
+            def mean_abs_importance(self, X, class_index):
+                calls.append((self, X, class_index))
+                return super().mean_abs_importance(X, class_index)
+
+        monkeypatch.setattr(sensors, "KernelShapExplainer", Spy)
+        reading = ExplanationSensor().measure(forest_context)
+        [(explainer, rows, class_index)] = calls
+        per_row = np.stack([explainer.shap_values(x, class_index) for x in rows])
+        want = np.abs(per_row).mean(axis=0)
+        assert reading.details == {f"f{i}": float(v) for i, v in enumerate(want)}
+
     def test_details_hold_feature_importances(self, context):
         sensor = ExplanationSensor(
             n_instances=4, n_background=10, n_coalitions=32, class_index=1

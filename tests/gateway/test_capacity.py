@@ -6,14 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gateway.arrivals import PoissonArrivalGroup
-from repro.gateway.capacity import (
-    ARRIVAL_CHUNK,
-    CapacityRunner,
-    summary_from_log,
-)
+from repro.gateway.capacity import ARRIVAL_CHUNK, CapacityRunner
 from repro.gateway.cluster import build_paper_deployment
 from repro.gateway.gateway import APIGateway
-from repro.gateway.loadgen import LoadGenerator, ThreadGroup
+from repro.gateway.loadgen import LoadGenerator, SummaryReport, ThreadGroup
 from repro.gateway.services import Machine, MicroService, ServiceTimeModel
 from repro.gateway.simulation import Simulator
 from repro.telemetry import KIND_LOAD_SUMMARY, KIND_RESPONSE, TelemetryBus
@@ -122,7 +118,10 @@ class TestClosedLoopEquivalence:
 
     def test_retained_log_oracle_agrees(self, reports):
         __, columnar, runner = reports
-        oracle = summary_from_log(runner.log, columnar.duration_seconds)
+        oracle = SummaryReport.from_records(
+            [r for r in runner.log.records() if r.end > 0.0],
+            columnar.duration_seconds,
+        )
         assert oracle.n_requests == columnar.n_requests
         assert oracle.n_errors == columnar.n_errors
         assert columnar.p95_response_ms == pytest.approx(
@@ -413,7 +412,10 @@ class TestSketchOracleProperty:
                 )
             )
         report = runner.run()
-        oracle = summary_from_log(runner.log, report.duration_seconds)
+        oracle = SummaryReport.from_records(
+            [r for r in runner.log.records() if r.end > 0.0],
+            report.duration_seconds,
+        )
         assert report.n_requests == oracle.n_requests
         assert report.n_errors == oracle.n_errors
         assert report.error_rate == oracle.error_rate

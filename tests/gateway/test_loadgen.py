@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.gateway.cluster import build_paper_deployment
 from repro.gateway.gateway import APIGateway
-from repro.gateway.loadgen import (
-    LoadGenerator,
-    SummaryReport,
-    ThreadGroup,
-    run_load_test,
-)
+from repro.gateway.loadgen import LoadGenerator, SummaryReport, ThreadGroup
 from repro.gateway.services import (
     Machine,
     MicroService,
@@ -262,18 +256,6 @@ class TestSummaryReport:
         text = report.render_text()
         assert "avg=250.0ms" in text
         assert "err=0.0%" in text
-
-
-class TestRunLoadTest:
-    def test_against_paper_deployment(self):
-        report = run_load_test(
-            build_paper_deployment,
-            [ThreadGroup(route="ai_pipeline", n_threads=4, iterations=2)],
-            seed=0,
-        )
-        assert report.n_requests == 8
-        assert report.error_rate == 0.0
-        assert report.avg_response_ms > 0
 
 
 class TestLoadTelemetry:

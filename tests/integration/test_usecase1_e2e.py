@@ -126,7 +126,7 @@ class TestUseCase1EndToEnd:
             explainer = KernelShapExplainer(
                 model.predict_proba, X_train[:25], n_coalitions=32, seed=0
             )
-            explanations = explainer.shap_values_batch(falls, class_index=1)
+            explanations = explainer.shap_values_batch_exact(falls, class_index=1)
             return knn_explanation_dissimilarity(falls, explanations, k=5)
 
         assert dissimilarity(0.5) > dissimilarity(0.0)

@@ -131,7 +131,7 @@ def loop_shap_values_batch(
     seed: int = 0,
     class_index: Optional[int] = None,
 ) -> np.ndarray:
-    """Row-at-a-time batch explanation (the old ``shap_values_batch``)."""
+    """Row-at-a-time batch explanation: one loop-reference call per row."""
     X = np.asarray(X, dtype=np.float64)
     return np.array(
         [
@@ -234,24 +234,9 @@ class VectorizedShapReference:
         means = grouped_marginal_means(self.predict_fn, X, self.background, masks)
         return total, means - self.base_values_, masks, weights
 
-    def shap_values_batch(self, X, class_index=None):
-        X = np.asarray(X, dtype=np.float64)
-        n_inst, d = X.shape
-        total, y, masks, weights = self._marginals(X)
-        if y is None:
-            phi = total[:, None, :]
-        else:
-            n_out = total.shape[1]
-            y_cols = y.transpose(1, 0, 2).reshape(masks.shape[0], n_inst * n_out)
-            phi = _solve_weighted(
-                masks.astype(np.float64), y_cols, weights, total.reshape(-1)
-            )
-            phi = phi.reshape(d, n_inst, n_out).transpose(1, 0, 2)
-        return phi if class_index is None else phi[:, :, class_index]
-
     def shap_values(self, x, class_index=None):
         x = np.asarray(x, dtype=np.float64).reshape(-1)
-        return self.shap_values_batch(x.reshape(1, -1), class_index)[0]
+        return self.shap_values_batch_exact(x.reshape(1, -1), class_index)[0]
 
     def shap_values_batch_exact(self, X, class_index=None):
         X = np.asarray(X, dtype=np.float64)
@@ -267,7 +252,7 @@ class VectorizedShapReference:
         return phi if class_index is None else phi[:, :, class_index]
 
     def mean_abs_importance(self, X, class_index):
-        return np.abs(self.shap_values_batch(X, class_index)).mean(axis=0)
+        return np.abs(self.shap_values_batch_exact(X, class_index)).mean(axis=0)
 
 
 def vectorized_exact_shap_values(predict_fn, x, background):

@@ -104,7 +104,7 @@ class TestKernelShapExplainer:
         explainer = KernelShapExplainer(
             trained_mlp.predict_proba, X[:20], n_coalitions=32, seed=0
         )
-        batch = explainer.shap_values_batch(X[:4], class_index=0)
+        batch = explainer.shap_values_batch_exact(X[:4], class_index=0)
         assert batch.shape == (4, X.shape[1])
 
     def test_sampling_mode_on_larger_d(self):

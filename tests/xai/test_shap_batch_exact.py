@@ -2,9 +2,9 @@
 
 The serving layer's fusion promise rests on this method: a batch must
 return *exactly* the bits the per-row path would, for any batch width
-and row order.  (The fully-fused ``shap_values_batch`` cannot promise
-that — folding instances into one multi-column solve changes BLAS
-blocking — which is why the serving engine calls this variant.)
+and row order.  It is the explainer's only batch entry point, so the
+serving engine, the kernel pool, the SHAP sensors and
+``mean_abs_importance`` all return per-row bits.
 """
 
 import numpy as np

