@@ -121,7 +121,7 @@ class ModelStealingAttack:
     ) -> ModelStealingResult:
         """Extract a surrogate using queries shaped like ``X_reference``.
 
-        Queries are jittered bootstrap resamples of the reference rows (the
+        Queries are jittered bootstrap samples of the reference rows (the
         attacker knows the input domain, not the training data).  Fidelity
         is measured on ``X_eval`` (defaults to the reference rows).
         """

@@ -2,7 +2,7 @@
 
 The paper singles out the random forest as the model most resilient to label
 flipping (holding ~93 % accuracy at a 30 % poison rate).  That robustness
-comes from bootstrap aggregation — each tree sees a different noisy resample
+comes from bootstrap aggregation — each tree sees a different bootstrap sample
 and the majority vote averages the corrupted minority out — and this
 implementation reproduces exactly that mechanism.
 """

@@ -24,7 +24,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.slo.definitions import BurnRateRule, SLODefinition
@@ -162,12 +161,8 @@ class _SeriesState:
     the evaluator can't hold the ≤5 % ingest-overhead budget
     ``bench_slo`` gates.
 
-    Windows of one concrete source finalise in window order, so a window
-    is almost always appended.  The exception: with allowed lateness, a
-    mid-stream ``flush()`` of the rollup closes young windows, and a late
-    event can then reopen and finalise one behind the tail.  Such a
-    window is inserted at its place (after any of equal end) and the
-    prefix sums are rebuilt from there.
+    The rollup finalises each source's windows in start order, so every
+    window is appended; one ending before the newest is refused.
     """
 
     __slots__ = (
@@ -198,26 +193,27 @@ class _SeriesState:
 
     def observe(
         self, stat: WindowStat, end: float, bad: float, total: float
-    ) -> float:
+    ) -> None:
         """Account one window; ``end`` is its ``window_end``.
 
-        Returns the newest window end of the series, the time its rules
-        are evaluated at: ``end`` unless the window finalised late.
+        Raises ``ValueError``, changing nothing, if the window ends before
+        the series' newest.
         """
-        self.ledger.debit(bad, total)
         if self._ends and end < self._ends[-1]:
-            self._insert(stat, end, bad, total)
-            end = self._ends[-1]
-        else:
-            self.history.append((stat, bad, total))
-            self._ends.append(end)
-            self._cum_bad.append(
-                (self._cum_bad[-1] if self._cum_bad else self._base_bad) + bad
+            raise ValueError(
+                f"window of {stat.source!r} ending at {end} is older than "
+                f"the series' newest, ending at {self._ends[-1]}"
             )
-            self._cum_total.append(
-                (self._cum_total[-1] if self._cum_total else self._base_total)
-                + total
-            )
+        self.ledger.debit(bad, total)
+        self.history.append((stat, bad, total))
+        self._ends.append(end)
+        self._cum_bad.append(
+            (self._cum_bad[-1] if self._cum_bad else self._base_bad) + bad
+        )
+        self._cum_total.append(
+            (self._cum_total[-1] if self._cum_total else self._base_total)
+            + total
+        )
         cutoff = end - self.horizon
         drop = 0
         while drop < len(self._ends) and self._ends[drop] <= cutoff:
@@ -229,25 +225,6 @@ class _SeriesState:
             del self._ends[:drop]
             del self._cum_bad[:drop]
             del self._cum_total[:drop]
-        return end
-
-    def _insert(
-        self, stat: WindowStat, end: float, bad: float, total: float
-    ) -> None:
-        """Place a window that finalised behind the tail in end order and
-        rebuild the prefix sums from it on."""
-        at = bisect_right(self._ends, end)
-        self._ends.insert(at, end)
-        self.history.insert(at, (stat, bad, total))
-        cum_bad = self._cum_bad[at - 1] if at else self._base_bad
-        cum_total = self._cum_total[at - 1] if at else self._base_total
-        del self._cum_bad[at:]
-        del self._cum_total[at:]
-        for __, window_bad, window_total in islice(self.history, at, None):
-            cum_bad += window_bad
-            cum_total += window_total
-            self._cum_bad.append(cum_bad)
-            self._cum_total.append(cum_total)
 
     def burn_rate(self, seconds: float, now: float, target: float) -> float:
         """Trailing burn rate over ``[now - seconds, now)``."""
@@ -354,9 +331,9 @@ class SLOEvaluator:
 
     # -- wiring -----------------------------------------------------------------
 
-    def attach(self, aggregator: TumblingWindowAggregator, level: int = 0) -> None:
-        """Subscribe to a rollup store's finalisation stream."""
-        aggregator.on_finalize(self.observe, level=level)
+    def attach(self, aggregator: TumblingWindowAggregator) -> None:
+        """Subscribe to a rollup store's level-0 finalisation stream."""
+        aggregator.on_finalize(self.observe)
 
     def on_alert(self, observer: Callable[[BurnRateAlert], None]) -> None:
         """Register a callback for every alert edge (fire *and* resolve)."""
@@ -365,7 +342,11 @@ class SLOEvaluator:
     # -- evaluation --------------------------------------------------------------
 
     def observe(self, stat: WindowStat) -> None:
-        """Consume one finalised window (the ``on_finalize`` callback)."""
+        """Consume one finalised window (the ``on_finalize`` callback).
+
+        Raises ``ValueError``, leaving every ledger and trailing sum as it
+        was, if the window ends before the newest one seen of its source.
+        """
         self.windows_seen += 1
         bindings = self._bindings.get(stat.source)
         if bindings is None:
@@ -395,21 +376,21 @@ class SLOEvaluator:
         definition = binding.definition
         state = binding.state
         target = definition.target
-        now = state.observe(stat, end,
-                            definition.bad_fraction(stat) * stat.count,
-                            float(stat.count))
+        state.observe(stat, end,
+                      definition.bad_fraction(stat) * stat.count,
+                      float(stat.count))
         burn_rate = state.burn_rate
         for rule_state in binding.rules:
             rule = rule_state.rule
             factor = rule.factor
-            short = burn_rate(rule.short_seconds, now, target)
+            short = burn_rate(rule.short_seconds, end, target)
             if not rule_state.active:
                 # not breaching unless BOTH windows burn: skip the long
                 # lookback entirely while the short one is healthy (the
                 # steady state), halving the per-window burn arithmetic
                 if short < factor:
                     continue
-                long = burn_rate(rule.long_seconds, now, target)
+                long = burn_rate(rule.long_seconds, end, target)
                 if long < factor:
                     continue
                 rule_state.active = True
@@ -419,18 +400,18 @@ class SLOEvaluator:
                     rule=rule.name,
                     severity=rule.severity,
                     state=ALERT_FIRING,
-                    timestamp=now,
+                    timestamp=end,
                     short_burn=short,
                     long_burn=long,
                     factor=factor,
-                    worst_window=state.worst_window(rule.short_seconds, now),
+                    worst_window=state.worst_window(rule.short_seconds, end),
                 )
                 self._active[
                     (definition.name, binding.source, rule.name)
                 ] = alert
                 self._record(alert)
             else:
-                long = burn_rate(rule.long_seconds, now, target)
+                long = burn_rate(rule.long_seconds, end, target)
                 if short >= factor and long >= factor:
                     continue
                 rule_state.active = False
@@ -444,7 +425,7 @@ class SLOEvaluator:
                         rule=rule.name,
                         severity=rule.severity,
                         state=ALERT_RESOLVED,
-                        timestamp=now,
+                        timestamp=end,
                         short_burn=short,
                         long_burn=long,
                         factor=factor,

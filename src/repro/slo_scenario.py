@@ -236,8 +236,8 @@ def run_incident_drill(
     )
     report = runner.run(until=duration)
     # Two flushes, deliberately: the first finalises the remaining rollup
-    # windows, which can fire alerts *after* its own pump; the second
-    # drains those alert events into the tap and the WAL.
+    # windows and pumps the alert events they fire into the tap and the
+    # WAL; the second finalises the rollup windows those events opened.
     pipeline.flush()
     pipeline.flush()
     return IncidentDrillResult(

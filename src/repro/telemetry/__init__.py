@@ -30,7 +30,6 @@ from repro.telemetry.events import (
 from repro.telemetry.pipeline import SENSOR_TOPIC, TelemetryPipeline
 from repro.telemetry.query import (
     TelemetryQuery,
-    resample,
     trailing_windows,
     window_range,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "WriteAheadLog",
     "merge_window_stats",
     "replay",
-    "resample",
     "trailing_windows",
     "window_range",
 ]

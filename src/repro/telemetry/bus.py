@@ -223,10 +223,6 @@ class TelemetryBus:
                 counters.dropped += 1
         return landed
 
-    def publish_many(self, topic: str, events: Iterable[TelemetryEvent]) -> int:
-        """Publish a batch; returns total queue placements."""
-        return sum(self.publish(topic, event) for event in events)
-
     def pump(self, max_events: Optional[int] = None) -> int:
         """Drain every subscription that has a callback (push delivery).
 

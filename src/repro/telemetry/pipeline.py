@@ -31,6 +31,9 @@ from repro.telemetry.wal import WriteAheadLog
 #: Default topic the continuous monitor publishes sensor readings on.
 SENSOR_TOPIC = "sensors"
 
+#: Queue bound of the ``wal`` and ``rollup`` subscriptions.
+QUEUE_CAPACITY = 65536
+
 
 class TelemetryPipeline:
     """Owns the bus, the durable WAL and the hot rollup store.
@@ -40,12 +43,8 @@ class TelemetryPipeline:
     wal_dir:
         Segment directory for the durable tier; ``None`` runs the
         pipeline memory-only (no persistence, e.g. in simulations).
-    window_seconds / cascades / retention:
+    window_seconds / cascades:
         Rollup configuration (see :class:`TumblingWindowAggregator`).
-    wal_capacity:
-        Bus-queue bound for the WAL subscription.  Its policy is
-        ``error``: a full durable queue is an operational fault, not
-        something to shed silently.
     auto_pump_every:
         When set, :meth:`publish` drains subscriber queues every N
         published events, so callers that never call :meth:`pump` still
@@ -57,8 +56,6 @@ class TelemetryPipeline:
         wal_dir: Optional[Union[str, os.PathLike]] = None,
         window_seconds: float = 1.0,
         cascades: Sequence[float] = (10.0, 60.0),
-        retention: int = 4096,
-        wal_capacity: int = 65536,
         max_segment_bytes: int = 1 << 20,
         auto_pump_every: Optional[int] = None,
     ) -> None:
@@ -66,13 +63,10 @@ class TelemetryPipeline:
             raise ValueError("auto_pump_every must be >= 1")
         self.bus = TelemetryBus()
         self.rollups = TumblingWindowAggregator(
-            window_seconds=window_seconds,
-            cascades=cascades,
-            retention=retention,
+            window_seconds=window_seconds, cascades=cascades
         )
         self.wal: Optional[WriteAheadLog] = None
         self._wal_dir = None if wal_dir is None else os.fspath(wal_dir)
-        self._wal_capacity = wal_capacity
         self._max_segment_bytes = max_segment_bytes
         self._auto_pump_every = auto_pump_every
         self._published_since_pump = 0
@@ -101,13 +95,13 @@ class TelemetryPipeline:
             )
             self.bus.subscribe(
                 "wal",
-                capacity=self._wal_capacity,
+                capacity=QUEUE_CAPACITY,
                 policy="error",
                 callback=self.wal.append,
             )
         self.bus.subscribe(
             "rollup",
-            capacity=self._wal_capacity,
+            capacity=QUEUE_CAPACITY,
             policy="drop_oldest",
             callback=self.rollups.ingest,
         )
@@ -135,19 +129,23 @@ class TelemetryPipeline:
         return self.bus.pump()
 
     def flush(self) -> None:
-        """Pump, persist, and finalise still-open rollup windows."""
+        """Pump, finalise still-open rollup windows, pump what their hooks
+        published (an SLO evaluator's alert edges), and persist."""
+        self.pump()
+        self.rollups.flush()
         self.pump()
         if self.wal is not None:
             self.wal.flush()
-        self.rollups.flush()
 
     def close(self) -> None:
-        """Flush and release the WAL; the pipeline stops accepting events."""
+        """Flush as :meth:`flush` does and release the WAL; the pipeline
+        stops accepting events."""
         if self._closed:
             return
         if self._started:
             self.pump()
             self.rollups.flush()
+            self.pump()
         if self.wal is not None:
             self.wal.close()
         self._closed = True

@@ -4,27 +4,21 @@ Two storage tiers, one façade: recent, pre-aggregated windows live in the
 :class:`~repro.telemetry.rollup.TumblingWindowAggregator` (cheap, bounded
 memory); the full event history lives in the WAL on disk (complete, but a
 sequential scan).  :class:`TelemetryQuery` routes window queries to the
-hot tier and raw-event queries to the cold tier, and layers resampling and
-worst-sensor ranking on top — the primitives the dashboard's long-horizon
-panels need.
+hot tier and raw-event queries to the cold tier, and layers worst-sensor
+ranking on top — the primitives the dashboard's long-horizon panels need.
+Coarser windows are the rollup's cascade levels (``windows(level=...)``).
 """
 
 from __future__ import annotations
 
 import os
-from collections import defaultdict
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.telemetry.events import TelemetryEvent
-from repro.telemetry.rollup import (
-    BLOCK_FIELDS,
-    TumblingWindowAggregator,
-    WindowStat,
-    merge_window_stats,
-)
+from repro.telemetry.rollup import BLOCK_FIELDS, TumblingWindowAggregator, WindowStat
 from repro.telemetry.wal import replay
 
 
@@ -73,38 +67,6 @@ def trailing_windows(
     return window_range(stats, start=at - seconds, end=at)
 
 
-def resample(
-    stats: Sequence[WindowStat], window_seconds: float
-) -> List[WindowStat]:
-    """Re-bucket finalised windows into coarser windows.
-
-    ``window_seconds`` must be an integer multiple of the input windows'
-    size.  Exact for count/mean/min/max (percentiles become weighted
-    estimates, as in the rollup cascade).
-    """
-    if not stats:
-        return []
-    base = stats[0].window_seconds
-    if any(s.window_seconds != base for s in stats):
-        raise ValueError("resample needs windows of a single size")
-    ratio = window_seconds / base
-    if window_seconds < base or abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError(
-            f"target window ({window_seconds}s) must be an integer "
-            f"multiple of the input window ({base}s)"
-        )
-    grouped: Dict[Tuple[str, float], List[WindowStat]] = defaultdict(list)
-    for stat in stats:
-        start = (stat.window_start // window_seconds) * window_seconds
-        grouped[(stat.source, start)].append(stat)
-    out = [
-        merge_window_stats(children, start, window_seconds)
-        for (__, start), children in grouped.items()
-    ]
-    out.sort(key=lambda s: (s.window_start, s.source))
-    return out
-
-
 class TelemetryQuery:
     """Unified query surface over a rollup store and/or a WAL directory.
 
@@ -130,9 +92,9 @@ class TelemetryQuery:
         level: int = 0,
         start: Optional[float] = None,
         end: Optional[float] = None,
-        window_seconds: Optional[float] = None,
     ) -> List[WindowStat]:
-        """Finalised windows, optionally time-bounded and resampled."""
+        """Finalised windows at one cascade level, optionally time-bounded,
+        ordered by ``(window_start, source)``."""
         if self.rollups is None:
             raise RuntimeError("no hot rollup tier attached")
         names = (
@@ -152,8 +114,6 @@ class TelemetryQuery:
                     )
                 )
             stats.sort(key=lambda s: (s.window_start, s.source))
-        if window_seconds is not None:
-            stats = resample(stats, window_seconds)
         return stats
 
     def top_k(
@@ -240,7 +200,6 @@ class TelemetryQuery:
         self,
         window_seconds: float = 1.0,
         cascades: Sequence[float] = (10.0, 60.0),
-        retention: int = 4096,
     ) -> TumblingWindowAggregator:
         """Replay the cold tier into a fresh hot tier (crash recovery).
 
@@ -251,9 +210,7 @@ class TelemetryQuery:
         if self.wal_dir is None:
             raise RuntimeError("no cold WAL tier attached")
         aggregator = TumblingWindowAggregator(
-            window_seconds=window_seconds,
-            cascades=cascades,
-            retention=retention,
+            window_seconds=window_seconds, cascades=cascades
         )
         for event in replay(self.wal_dir):
             aggregator.ingest(event)

@@ -2,10 +2,11 @@
 
 The hot query path never touches raw events: the aggregator buckets each
 source's events into tumbling windows (default 1 s), finalises a window
-once the stream's watermark passes its end, and cascades finalised windows
-into coarser levels (e.g. 1 s → 10 s → 60 s).  Each level keeps only a
-bounded number of finalised windows, so hot memory stays O(sources ×
-levels × retention) no matter how long the stream runs.
+once the stream's watermark passes its end, keeps each source's windows
+in start order, and cascades finalised windows into coarser levels (e.g.
+1 s → 10 s → 60 s).  Each level keeps only a bounded number of finalised
+windows, so hot memory stays O(sources × levels × retention) no matter
+how long the stream runs.
 
 count/mean/min/max combine exactly across the cascade.  Percentiles do
 not: level 0 computes p50/p95 exactly from the window's raw values;
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from math import floor, inf
 from operator import attrgetter
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,7 +162,7 @@ def _bounds(
     ``start <= window_start < end``; ``hi <= lo`` when there are none.
 
     Two bisects, so the cost is logarithmic in the series.  A NaN bound
-    filters nothing, as in :func:`_scan`.
+    filters nothing.
     """
     lo = 0
     hi = len(series)
@@ -193,20 +194,6 @@ def _time_range(
     return out
 
 
-def _scan(
-    series: Deque[WindowStat], start: Optional[float], end: Optional[float]
-) -> List[WindowStat]:
-    """:func:`_time_range` for a series that is not time-sorted."""
-    out = []
-    for stat in series:
-        if start is not None and stat.window_start < start:
-            continue
-        if end is not None and stat.window_start >= end:
-            continue
-        out.append(stat)
-    return out
-
-
 #: The columns of a series block, one float64 row per window.
 BLOCK_FIELDS = ("count", "mean", "min", "max", "p50", "p95")
 _WIDTH = len(BLOCK_FIELDS)
@@ -219,7 +206,7 @@ def _rows(stats: Sequence[WindowStat]) -> array:
 
 
 class _Block:
-    """A time-sorted series' windows as float64 rows of ``BLOCK_FIELDS``.
+    """A series' windows as float64 rows of ``BLOCK_FIELDS``.
 
     The block is synced on read, not on write: :meth:`sync` appends the
     rows of the windows finalised since the previous sync, found by
@@ -274,10 +261,10 @@ class TumblingWindowAggregator:
         Finalised windows kept per (level, source); older ones are evicted
         so memory stays bounded.  The WAL remains the source of truth for
         anything older.
-    allowed_lateness:
-        Slack (seconds) behind the watermark before a window finalises;
-        events later than this land in an already-finalised window and are
-        counted in ``late_events`` instead of mutating history.
+
+    Each series stays in window-start order: an event whose window ended
+    at or before the watermark, or whose window would finalise behind its
+    series' newest (see :meth:`_finalize`), counts in ``late_events``.
     """
 
     def __init__(
@@ -285,14 +272,11 @@ class TumblingWindowAggregator:
         window_seconds: float = 1.0,
         cascades: Sequence[float] = (10.0, 60.0),
         retention: int = 4096,
-        allowed_lateness: float = 0.0,
     ) -> None:
         if window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
         if retention < 1:
             raise ValueError("retention must be >= 1")
-        if allowed_lateness < 0:
-            raise ValueError("allowed_lateness must be non-negative")
         sizes = [float(window_seconds)] + [float(c) for c in cascades]
         for prev, size in zip(sizes, sizes[1:]):
             ratio = size / prev
@@ -303,21 +287,17 @@ class TumblingWindowAggregator:
                 )
         self.window_sizes = sizes
         self.retention = retention
-        self.allowed_lateness = allowed_lateness
         self.watermark = -inf
         self.ingested = 0
         self.late_events = 0
         self._horizon_bucket = -inf  # last level-0 bucket finalisation ran at
         # per level: open buckets keyed (source, window_start) — raw
         # event values at level 0, finalised child windows above — and
-        # finalised deques keyed source
+        # finalised deques keyed source, each in window-start order
         self._open: List[Dict[Tuple[str, float], list]] = [{} for __ in sizes]
         self._closed: List[Dict[str, Deque[WindowStat]]] = [{} for __ in sizes]
-        #: per level: sources whose deque is not sorted by window start
-        #: (see ``_finalize``); reads scan these instead of bisecting
-        self._unordered: List[Set[str]] = [set() for __ in sizes]
-        #: per level: the row blocks of sorted series, keyed source,
-        #: created and synced by ``window_rows``
+        #: per level: the row blocks of the series, keyed source, created
+        #: and synced by ``window_rows``
         self._blocks: List[Dict[str, _Block]] = [{} for __ in sizes]
         #: level -> callbacks fired once per finalised window.  Empty for
         #: an unsubscribed aggregator, so the hot ingest path never pays
@@ -353,7 +333,7 @@ class TumblingWindowAggregator:
         timestamp = event.timestamp
         size = self.window_sizes[0]
         start = floor(timestamp / size) * size
-        if start + size + self.allowed_lateness <= self.watermark:
+        if start + size <= self.watermark:
             self.late_events += 1
             return
         key = (event.source, start)
@@ -366,13 +346,12 @@ class TumblingWindowAggregator:
         if timestamp > self.watermark:
             self.watermark = timestamp
             # window ends all fall on level-0 boundaries, so ripeness can
-            # only change when the horizon crosses one — skip the open-
+            # only change when the watermark crosses one — skip the open-
             # window scan otherwise (hot-path win at high event rates)
-            horizon = timestamp - self.allowed_lateness
-            bucket = floor(horizon / size)
+            bucket = floor(timestamp / size)
             if bucket != self._horizon_bucket:
                 self._horizon_bucket = bucket
-                self._finalize_ripe(horizon)
+                self._finalize_ripe(timestamp)
 
     def ingest_many(self, events: Sequence[TelemetryEvent]) -> None:
         for event in events:
@@ -391,20 +370,33 @@ class TumblingWindowAggregator:
                 self._finalize(level, key)
 
     def _finalize(self, level: int, key: Tuple[str, float]) -> None:
+        """Close one open window, or drop it if it starts before its
+        series' newest window.
+
+        Only a mid-stream :meth:`flush` makes such a window: it closes
+        windows ending past the watermark, and where ``start + size``
+        rounds above the next window's start (sizes that are not powers
+        of two), a later event can open the window before a flushed one.
+        A dropped window is not appended, cascaded or handed to the
+        hooks; at level 0 its events move from ``ingested`` to
+        ``late_events``.  A window with the newest one's start is
+        appended.
+        """
         source, start = key
         bucket = self._open[level].pop(key)
+        series = self._closed[level].get(source)
+        if series is None:
+            series = self._closed[level][source] = deque(maxlen=self.retention)
+        elif start < series[-1].window_start:
+            if level == 0:
+                self.ingested -= len(bucket)
+                self.late_events += len(bucket)
+            return
         size = self.window_sizes[level]
         if level == 0:
             stat = _level0_stat(source, start, size, bucket)
         else:
             stat = merge_window_stats(bucket, start, size)
-        series = self._closed[level].get(source)
-        if series is None:
-            series = self._closed[level][source] = deque(maxlen=self.retention)
-        elif start < series[-1].window_start:
-            # a mid-stream flush() closed this window's successors and
-            # allowed lateness let it reopen: the series stays unsorted
-            self._unordered[level].add(source)
         series.append(stat)
         if self._finalize_hooks:
             for hook in self._finalize_hooks.get(level, ()):
@@ -442,28 +434,21 @@ class TumblingWindowAggregator:
         """Finalised windows at one level, oldest first, optionally bounded
         to ``[start, end)`` by window start time.
 
-        Ties on window start go by source, then finalisation order.  A
-        source's windows finalise in start order, so each series is
+        Ties on window start go by source, then finalisation order.  Each
+        series is in start order (see :meth:`_finalize`), so it is
         bisected and a read costs the windows it returns, not the ones
-        retained; a series that a mid-stream :meth:`flush` left unsorted
-        is scanned and sorted instead.
+        retained; an all-source read merges the series by start.
         """
         self._check_level(level)
         per_source = self._closed[level]
-        unordered = self._unordered[level]
         if source is not None:
             series = per_source.get(source)
             if series is None:
                 return []
-            if source not in unordered:
-                return _time_range(series, start, end)
-            names = [source]
-        else:
-            names = sorted(per_source)
+            return _time_range(series, start, end)
         out: List[WindowStat] = []
-        for name in names:
-            read = _scan if name in unordered else _time_range
-            out.extend(read(per_source[name], start, end))
+        for name in sorted(per_source):
+            out.extend(_time_range(per_source[name], start, end))
         out.sort(key=_start_then_source)
         return out
 
@@ -478,18 +463,14 @@ class TumblingWindowAggregator:
         float64 array, one row of ``BLOCK_FIELDS`` per window, oldest
         first, with the first window's start (``None`` when ``n`` is 0).
 
-        The rows are a copy the caller may keep.  A sorted series' rows
-        come from its block, synced first (see ``_Block``).  A series
-        that a mid-stream :meth:`flush` left unsorted has no block: its
-        rows are built from the windows :meth:`windows` scans and sorts.
+        The rows are a copy the caller may keep, taken from the series'
+        block, synced first (see ``_Block``).  An unknown source has no
+        rows.
         """
         self._check_level(level)
         series = self._closed[level].get(source)
-        if series is None or source in self._unordered[level]:
-            self._blocks[level].pop(source, None)
-            stats = self.windows(source=source, level=level, start=start, end=end)
-            first = stats[0].window_start if stats else None
-            rows = _rows(stats)
+        if series is None:
+            first, rows = None, array("d")
         else:
             block = self._blocks[level].get(source)
             if block is None:

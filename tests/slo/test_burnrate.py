@@ -190,7 +190,7 @@ class TestAggregatorAttachment:
         assert evaluator.status() == []  # no series ever bound
 
 
-LATE_RULES = (
+PAIR_RULES = (
     BurnRateRule("fast", short_seconds=0.5, long_seconds=4.0, factor=4.0),
     BurnRateRule("slow", short_seconds=1.0, long_seconds=6.0, factor=2.0),
 )
@@ -198,47 +198,46 @@ LOOKBACKS = (0.25, 0.5, 1.0, 2.5, 4.0, 6.0)  # the longest is the horizon
 
 
 @st.composite
-def late_streams(draw):
-    """A seeded 0/1 success stream with reordered and late events and
-    mid-stream flushes: with allowed lateness, a flush lets a window
-    finalise behind its series' tail."""
+def success_streams(draw):
+    """A seeded 0/1 success stream that walks the window grid, mostly
+    forward and now and then a window back (reordered), with some events
+    a few windows behind the walk (late), half of them on a window's
+    start, and mid-stream flushes.  At a window size that is not a power
+    of two, a flush can let a window open behind its series' tail, which
+    the rollup drops."""
+    window = draw(st.sampled_from([1.0, 0.5, 0.7, 0.3, 1.1]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    index = draw(st.integers(0, 400))  # the first event's window index
     events = []
-    now = 0.0
     bad_share = 0.0
     for __ in range(draw(st.integers(1, 120))):
-        now += rng.uniform(0.0, 0.4)
+        index = max(0, index + rng.choice([-1, 0, 1, 2]))
+        back = rng.randint(2, 6) if rng.random() < 0.1 else 0
+        offset = rng.choice([0.0, rng.random()])
         if rng.random() < 0.1:
             bad_share = rng.choice([0.0, 0.2, 0.9])
-        behind = rng.uniform(0.0, 4.0) if rng.random() < 0.3 else 0.0
         source = "ok:shap" if rng.random() < 0.8 else "other"
         value = 0.0 if rng.random() < bad_share else 1.0
-        events.append((TelemetryEvent(source, value, now - behind), rng.random()))
-    return (
-        draw(st.sampled_from([1.0, 0.5])),
-        draw(st.sampled_from([0.0, 0.75, 3.0])),
-        draw(st.sampled_from([0.0, 0.05, 0.2])),
-        events,
-    )
+        timestamp = (index - back + offset) * window
+        events.append((TelemetryEvent(source, value, timestamp), rng.random()))
+    return window, draw(st.sampled_from([0.0, 0.1, 0.3, 0.5])), events
 
 
 class TestWindowsBehindTheTail:
-    """With allowed lateness, a mid-stream flush() lets a window finalise
-    after a newer one of its series.  The trailing sums and the worst
-    window must still be those of the windows seen, in window-end order,
-    and a late window's rules run at the series' newest end."""
+    """A window that would finalise behind its series' tail never reaches
+    the evaluator: the rollup drops it, and ``observe`` refuses one.  The
+    trailing sums and the worst window are those of the windows seen,
+    and each window's rules run at its own end."""
 
     @settings(max_examples=200, deadline=None)
-    @given(stream=late_streams())
+    @given(stream=success_streams())
     def test_burn_rate_and_worst_window_match_brute_force(self, stream):
-        window, lateness, flush_share, events = stream
+        window, flush_share, events = stream
         definition = SLODefinition(
             "avail", "ok:shap", OBJECTIVE_AVAILABILITY, target=0.9,
-            burn_rules=LATE_RULES,
+            burn_rules=PAIR_RULES,
         )
-        aggregator = TumblingWindowAggregator(
-            window_seconds=window, cascades=(), allowed_lateness=lateness
-        )
+        aggregator = TumblingWindowAggregator(window_seconds=window, cascades=())
         evaluator = SLOEvaluator([definition])
         evaluator.attach(aggregator)
         seen = []  # (end, bad, total, window) in finalisation order
@@ -248,15 +247,14 @@ class TestWindowsBehindTheTail:
             if stat.source != "ok:shap":
                 return
             bad = definition.bad_fraction(stat) * stat.count
-            seen.append((stat.window_end, bad, float(stat.count), stat))
-            now = max(end for end, *__ in seen)
+            now = stat.window_end
+            seen.append((now, bad, float(stat.count), stat))
             for alert in evaluator.alerts[checked[0]:]:
                 assert alert.timestamp == now
             checked[0] = len(evaluator.alerts)
             state = evaluator._series[("avail", "ok:shap")]
-            ordered = sorted(seen, key=lambda entry: entry[0])
             for seconds in LOOKBACKS:
-                inside = [e for e in ordered if e[0] > now - seconds]
+                inside = [e for e in seen if e[0] > now - seconds]
                 total = sum(e[2] for e in inside)
                 want = sum(e[1] for e in inside) / total / 0.1 if total else 0.0
                 got = state.burn_rate(seconds, now, definition.target)
@@ -276,16 +274,21 @@ class TestWindowsBehindTheTail:
             if roll < flush_share:
                 aggregator.flush()
         aggregator.flush()
+        ends = [end for end, *__ in seen]
+        assert ends == sorted(ends)
 
-    def test_a_late_window_is_evaluated_at_the_newest_end(self):
+    def test_a_window_ending_before_the_newest_is_refused(self):
         evaluator = SLOEvaluator([availability_slo()])
-        feed(evaluator, "ok:shap", [1.0] * 20)
-        # a failing window ending at 18 s arrives after the one ending at 20 s
-        evaluator.observe(window("ok:shap", 17.0, 0.0))
+        feed(evaluator, "ok:shap", [1.0] * 18 + [0.0] * 2)
+        ledger = evaluator.ledger("avail", "ok:shap")
         state = evaluator._series[("avail", "ok:shap")]
-        assert list(state._ends) == sorted(state._ends)
-        # windows ending at 18 (two), 19 and 20 s: 1/4 bad at a 10% budget
-        assert state.burn_rate(3.0, 20.0, 0.9) == pytest.approx(2.5)
-        assert state.burn_rate(1.5, 20.0, 0.9) == 0.0
-        assert state.worst_window(3.0, 20.0).window_start == 17.0
-        assert evaluator.status()[0].short_burn == pytest.approx(0.0)
+
+        def snapshot():
+            burns = [state.burn_rate(s, 20.0, 0.9) for s in (1.0, 3.0, 10.0)]
+            return ledger.bad, ledger.total, burns, len(evaluator.alerts)
+
+        before = snapshot()
+        # a failing window ending at 18 s after the one ending at 20 s
+        with pytest.raises(ValueError):
+            evaluator.observe(window("ok:shap", 17.0, 0.0))
+        assert snapshot() == before

@@ -2,6 +2,14 @@
 
 import pytest
 
+from repro.slo import (
+    KIND_SLO_ALERT,
+    OBJECTIVE_AVAILABILITY,
+    SLO_TOPIC,
+    BurnRateRule,
+    SLODefinition,
+    SLOEvaluator,
+)
 from repro.telemetry import (
     TelemetryEvent,
     TelemetryPipeline,
@@ -103,3 +111,22 @@ class TestWiring:
         assert snapshot["bus"]["topics"]["t"]["published"] == 1
         assert snapshot["wal"]["appended"] == 1
         assert snapshot["rollup"]["ingested"] == 1
+
+    def test_close_persists_the_alert_edges_it_fires(self, tmp_path):
+        pipe = TelemetryPipeline(wal_dir=tmp_path / "wal", cascades=()).start()
+        slo = SLODefinition(
+            "avail", "ok:shap", OBJECTIVE_AVAILABILITY, target=0.9,
+            burn_rules=(BurnRateRule("fast", 2.0, 10.0, 4.0),),
+        )
+        evaluator = SLOEvaluator(
+            [slo], emit=lambda event: pipe.publish(SLO_TOPIC, event)
+        )
+        evaluator.attach(pipe.rollups)
+        # window [0, 1) fails and fires the rule; [1, 2) and [2, 3)
+        # succeed and resolve it: every edge fires inside close()
+        for i, value in enumerate([0.0, 1.0, 1.0, 1.0]):
+            pipe.publish("t", TelemetryEvent("ok:shap", value, i + 0.5))
+        pipe.close()
+        assert [a.state for a in evaluator.alerts] == ["firing", "resolved"]
+        edges = [e for e in replay(tmp_path / "wal") if e.kind == KIND_SLO_ALERT]
+        assert edges == [alert.to_event() for alert in evaluator.alerts]

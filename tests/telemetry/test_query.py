@@ -1,6 +1,5 @@
 """Tests for the query engine over hot rollups and cold WAL."""
 
-import numpy as np
 import pytest
 
 from repro.telemetry import (
@@ -8,7 +7,6 @@ from repro.telemetry import (
     TelemetryQuery,
     TumblingWindowAggregator,
     WriteAheadLog,
-    resample,
 )
 
 
@@ -62,12 +60,6 @@ class TestHotQueries:
         assert {w.source for w in subset} == {"good"}
         assert all(5.0 <= w.window_start < 10.0 for w in subset)
 
-    def test_windows_resampled_inline(self, hot):
-        coarse = hot.windows(sources=["good"], window_seconds=5.0)
-        assert all(w.window_seconds == 5.0 for w in coarse)
-        fine = hot.windows(sources=["good"])
-        assert sum(w.count for w in coarse) == sum(w.count for w in fine)
-
     def test_top_k_worst_lowest(self, hot):
         ranking = hot.top_k(2)
         assert [name for name, __ in ranking] == ["bad", "good"]
@@ -87,39 +79,6 @@ class TestHotQueries:
             hot.top_k(1, metric="nope")
         with pytest.raises(ValueError):
             hot.top_k(1, worst="sideways")
-
-
-class TestResample:
-    def test_exact_fields_survive_resampling(self):
-        agg = TumblingWindowAggregator(window_seconds=1.0, cascades=())
-        values = [float(i % 5) for i in range(40)]
-        agg.ingest_many(
-            [
-                TelemetryEvent(source="s", value=v, timestamp=i * 0.25)
-                for i, v in enumerate(values)
-            ]
-        )
-        agg.flush()
-        coarse = resample(agg.windows(source="s"), 10.0)
-        assert len(coarse) == 1
-        assert coarse[0].count == 40
-        assert coarse[0].mean == pytest.approx(np.mean(values))
-        assert coarse[0].min == 0.0
-        assert coarse[0].max == 4.0
-
-    def test_rejects_non_multiple_target(self, hot):
-        with pytest.raises(ValueError):
-            resample(hot.windows(sources=["good"]), 1.5)
-
-    def test_rejects_mixed_window_sizes(self, hot):
-        mixed = hot.windows(sources=["good"], level=0) + hot.windows(
-            sources=["good"], level=1
-        )
-        with pytest.raises(ValueError):
-            resample(mixed, 20.0)
-
-    def test_empty_input(self):
-        assert resample([], 10.0) == []
 
 
 class TestColdQueries:

@@ -5,11 +5,13 @@
 row blocks; both must return exactly what the scans and the loop in
 ``reference_reads`` return: the same window objects in the same order,
 and the same scores, bit for bit, in the same tie order.  Streams are
-random: reordered events, events behind the watermark, allowed lateness,
-mid-stream flushes (which can reopen a closed window and leave a series
-unsorted), short and long retention, tied scores, non-finite and
-negative-zero values, every cascade level, and reads interleaved with
-ingest so the blocks sync in steps.
+random: reordered events, events behind the watermark, timestamps on
+window boundaries, mid-stream flushes (which, at window sizes that are
+not powers of two, can open a window behind its series' newest), short
+and long retention, tied scores, non-finite and negative-zero values,
+every cascade level, and reads interleaved with ingest so the blocks
+sync in steps.  Every series stays in window-start order, and every
+event delivered is either ingested or counted late.
 """
 
 import math
@@ -29,8 +31,20 @@ from tests.telemetry.reference_reads import (
 )
 
 SOURCES = ["a", "b", "c", "d"]
-#: (level-0 window, cascades): three levels, binary-inexact sizes, one level
-CONFIGS = [(1.0, (2.0, 6.0)), (0.5, (1.5, 3.0)), (1.0, ())]
+#: (level-0 window, cascades): three levels, binary-inexact sizes, one
+#: level, and sizes that are not powers of two, where a window's end can
+#: round past the next window's start
+CONFIGS = [
+    (1.0, (2.0, 6.0)),
+    (0.5, (1.5, 3.0)),
+    (1.0, ()),
+    (0.7, (2.1,)),
+    (0.3, (0.9, 2.7)),
+    (1.1, ()),
+    (0.1, (1.0,)),
+]
+#: the sizes that are not powers of two
+UNEVEN = CONFIGS[3:]
 METRICS = ["mean", "min", "max", "p50", "p95"]
 
 BOUNDS = st.one_of(
@@ -41,20 +55,26 @@ BOUNDS = st.one_of(
 )
 
 
+def on_grid(rng, t, window, grid_share):
+    """``t``, or with probability ``grid_share`` the window boundary
+    nearest it."""
+    return round(t / window) * window if rng.random() < grid_share else t
+
+
 @st.composite
 def stores(draw):
     """A store fed a seeded random stream: mostly in order, some events
-    reordered or behind the watermark, values that often tie, and
-    flush() calls mid-stream."""
+    reordered or behind the watermark, some on window boundaries, values
+    that often tie, and flush() calls mid-stream."""
     window, cascades = draw(st.sampled_from(CONFIGS))
     agg = TumblingWindowAggregator(
         window_seconds=window,
         cascades=cascades,
         retention=draw(st.one_of(st.integers(1, 50), st.just(4096))),
-        allowed_lateness=draw(st.sampled_from([0.0, 0.75, 3.0])),
     )
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    flush_share = draw(st.sampled_from([0.0, 0.02, 0.1]))
+    flush_share = draw(st.sampled_from([0.0, 0.02, 0.1, 0.3]))
+    grid_share = draw(st.sampled_from([0.0, 0.1, 0.5]))
     now = 0.0
     for __ in range(draw(st.integers(0, 400))):
         now += rng.uniform(0.0, 0.4)
@@ -65,6 +85,7 @@ def stores(draw):
             behind = rng.uniform(0.0, 1.0)  # reordered
         else:
             behind = rng.uniform(2.0, 12.0)  # behind the watermark
+        timestamp = on_grid(rng, now - behind, window, grid_share)
         roll = rng.random()
         if roll < 0.5:
             value = rng.choice([0.0, 1.0])  # windows of one value tie
@@ -73,9 +94,7 @@ def stores(draw):
         else:
             value = rng.choice([math.inf, -math.inf, math.nan])
         agg.ingest(
-            TelemetryEvent(
-                source=rng.choice(SOURCES), value=value, timestamp=now - behind
-            )
+            TelemetryEvent(source=rng.choice(SOURCES), value=value, timestamp=timestamp)
         )
         if rng.random() < flush_share:
             agg.flush()
@@ -104,19 +123,60 @@ def same_ranking(got, want):
     return [(n, bits(s)) for n, s in got] == [(n, bits(s)) for n, s in want]
 
 
-def assert_unmarked_series_sorted(agg):
+def assert_series_sorted(agg):
     for level, per_source in enumerate(agg._closed):
         for name, series in per_source.items():
-            if name not in agg._unordered[level]:
-                starts = [stat.window_start for stat in series]
-                assert starts == sorted(starts), (level, name)
+            starts = [stat.window_start for stat in series]
+            assert starts == sorted(starts), (level, name)
+
+
+class TestSeriesOrder:
+    """A mid-stream flush() at an uneven window size can open a window
+    behind its series' newest: the newest event sits on a boundary whose
+    window the flush closes, and the window before it ends past that
+    boundary.  The rollup counts such a window's events late."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        config=st.sampled_from(UNEVEN),
+        first=st.integers(0, 400),  # the first event's window index
+        n_events=st.integers(0, 120),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_series_sorted_and_every_event_counted(
+        self, config, first, n_events, seed
+    ):
+        window, cascades = config
+        agg = TumblingWindowAggregator(window_seconds=window, cascades=cascades)
+        rng = random.Random(seed)
+        index = first
+        for __ in range(n_events):
+            index = max(0, index + rng.choice([-1, 0, 1, 2]))
+            offset = rng.choice([0.0, 0.5])  # on the window's start or inside
+            agg.ingest(
+                TelemetryEvent(
+                    source=rng.choice(SOURCES[:2]),
+                    value=float(index),
+                    timestamp=(index + offset) * window,
+                )
+            )
+            if rng.random() < 0.5:
+                agg.flush()
+        agg.flush()
+        assert_series_sorted(agg)
+        assert agg.ingested + agg.late_events == n_events
+        for level in range(agg.levels):
+            for source in [None, *SOURCES[:2]]:
+                got = agg.windows(source=source, level=level, start=first * window)
+                want = reference_windows(agg, source, level, first * window)
+                assert [id(s) for s in got] == [id(s) for s in want]
 
 
 class TestWindowsMatchTheScan:
     @settings(max_examples=150, deadline=None)
     @given(agg=stores(), ranges=st.lists(st.tuples(BOUNDS, BOUNDS), max_size=4))
     def test_every_source_level_and_range(self, agg, ranges):
-        assert_unmarked_series_sorted(agg)
+        assert_series_sorted(agg)
         query = TelemetryQuery(rollups=agg)
         for level in range(agg.levels):
             for start, end in [(None, None)] + ranges:
@@ -161,54 +221,6 @@ class TestTopKMatchesTheScan:
         assert same_ranking(ranking, reference_top_k(agg, 4, metric="p95"))
 
 
-class TestReopenedWindow:
-    """flush() closes every open window; with allowed lateness an event
-    can then reopen one older than the series' tail."""
-
-    def build(self):
-        agg = TumblingWindowAggregator(
-            window_seconds=1.0, cascades=(2.0,), allowed_lateness=2.0
-        )
-        for t in (0.5, 1.5, 2.5):
-            agg.ingest(TelemetryEvent(source="s", value=t, timestamp=t))
-        agg.flush()  # closes windows 0, 1 and 2
-        # window 1 ends at 2.0, within the 2 s lateness of the 2.5 watermark
-        agg.ingest(TelemetryEvent(source="s", value=9.0, timestamp=1.2))
-        agg.ingest(TelemetryEvent(source="s", value=1.0, timestamp=10.0))
-        agg.flush()
-        return agg
-
-    def test_the_series_is_marked_and_reads_stay_sorted(self):
-        agg = self.build()
-        assert [w.window_start for w in agg._closed[0]["s"]] == [0.0, 1.0, 2.0, 1.0, 10.0]
-        assert [w.window_start for w in agg._closed[1]["s"]] == [0.0, 2.0, 0.0, 10.0]
-        assert agg._unordered == [{"s"}, {"s"}]
-        windows = agg.windows(source="s")
-        assert [(w.window_start, w.mean) for w in windows] == [
-            (0.0, 0.5),
-            (1.0, 1.5),
-            (1.0, 9.0),
-            (2.0, 2.5),
-            (10.0, 1.0),
-        ]
-        middle = agg.windows(source="s", start=1.0, end=2.0)
-        assert [w.mean for w in middle] == [1.5, 9.0]
-
-    def test_reads_match_the_scan(self):
-        agg = self.build()
-        query = TelemetryQuery(rollups=agg)
-        for level in range(agg.levels):
-            for start, end in [(None, None), (1.0, None), (None, 2.0), (0.5, 3.0)]:
-                got = agg.windows(source="s", level=level, start=start, end=end)
-                want = reference_windows(agg, "s", level, start, end)
-                assert [id(w) for w in got] == [id(w) for w in want]
-                for metric in METRICS:
-                    assert same_ranking(
-                        query.top_k(1, level, start, end, metric),
-                        reference_top_k(agg, 1, level, start, end, metric),
-                    )
-
-
 class TestRangeCorners:
     def stream_store(self):
         agg = TumblingWindowAggregator(window_seconds=1.0, cascades=(10.0,))
@@ -241,15 +253,12 @@ class TestRangeCorners:
 
 
 def assert_blocks_in_sync(agg, level):
-    """After a ``top_k`` at ``level``: each sorted series has a block whose
-    last rows are its deque's windows, field for field, in at most twice
-    as many rows; an unsorted series has none."""
+    """After a ``top_k`` at ``level``: each series has a block whose last
+    rows are its deque's windows, field for field, in at most twice as
+    many rows."""
     width = len(BLOCK_FIELDS)
     blocks = agg._blocks[level]
     for name, series in agg._closed[level].items():
-        if name in agg._unordered[level]:
-            assert name not in blocks
-            continue
         data = blocks[name].data
         rows = len(data) // width
         assert len(data) == rows * width
@@ -283,34 +292,36 @@ class TestColumnScoring:
     @given(
         window_and_cascades=st.sampled_from(CONFIGS),
         retention=st.sampled_from([1, 2, 50]),
-        lateness=st.sampled_from([0.0, 0.75, 3.0]),
-        flush_share=st.sampled_from([0.0, 0.02, 0.1]),
+        flush_share=st.sampled_from([0.0, 0.02, 0.1, 0.3]),
+        grid_share=st.sampled_from([0.0, 0.1, 0.5]),
         read_share=st.sampled_from([0.02, 0.1, 0.4]),
         n_events=st.integers(0, 300),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_reads_interleaved_with_ingest(
-        self, window_and_cascades, retention, lateness, flush_share,
+        self, window_and_cascades, retention, flush_share, grid_share,
         read_share, n_events, seed,
     ):
         window, cascades = window_and_cascades
         agg = TumblingWindowAggregator(
-            window_seconds=window,
-            cascades=cascades,
-            retention=retention,
-            allowed_lateness=lateness,
+            window_seconds=window, cascades=cascades, retention=retention
         )
         query = TelemetryQuery(rollups=agg)
         rng = random.Random(seed)
         now = 0.0
         for __ in range(n_events):
             now += rng.uniform(0.0, 0.4)
-            behind = rng.uniform(0.0, 1.0) if rng.random() < 0.2 else 0.0
+            if rng.random() < 0.2:
+                behind = rng.uniform(0.0, 1.0)  # reordered
+            elif rng.random() < 0.05:
+                behind = rng.uniform(2.0, 12.0)  # behind the watermark
+            else:
+                behind = 0.0
             agg.ingest(
                 TelemetryEvent(
                     source=rng.choice(SOURCES),
                     value=random_value(rng),
-                    timestamp=now - behind,
+                    timestamp=on_grid(rng, now - behind, window, grid_share),
                 )
             )
             if rng.random() < flush_share:
@@ -323,6 +334,8 @@ class TestColumnScoring:
                     args = (rng.randint(1, 5), level, start, end, metric, worst)
                     assert same_ranking(query.top_k(*args), loop_top_k(agg, *args))
                 assert_blocks_in_sync(agg, level)
+        assert_series_sorted(agg)
+        assert agg.ingested + agg.late_events == n_events
 
     @pytest.mark.parametrize("retention", [1, 2, 50])
     def test_more_than_retention_windows_between_reads(self, retention):
@@ -373,38 +386,6 @@ class TestColumnScoring:
         assert math.isnan(scores["nan"]) and math.isnan(scores["both-inf"])
         assert scores["inf"] == math.inf and scores["-inf"] == -math.inf
         assert scores["huge"] == math.inf  # 1e308 * 2 overflows, as in the loop
-
-    def test_unsorted_series_have_no_block(self):
-        agg = TestReopenedWindow().build()
-        query = TelemetryQuery(rollups=agg)
-        for level in range(agg.levels):
-            for metric in METRICS:
-                args = (1, level, None, None, metric, "lowest")
-                assert same_ranking(query.top_k(*args), loop_top_k(agg, *args))
-            for start, end in [(None, None), (1.0, 2.0), (5.0, 6.0)]:
-                first, rows = agg.window_rows("s", level, start, end)
-                stats = agg.windows(source="s", level=level, start=start, end=end)
-                assert first == (stats[0].window_start if stats else None)
-                assert rows.shape == (len(stats), len(BLOCK_FIELDS))
-                assert rows.tolist() == [
-                    [float(getattr(w, f)) for f in BLOCK_FIELDS] for w in stats
-                ]
-            assert agg._blocks[level] == {}
-
-    def test_a_series_turning_unsorted_drops_its_block(self):
-        agg = TumblingWindowAggregator(
-            window_seconds=1.0, cascades=(), allowed_lateness=2.0
-        )
-        query = TelemetryQuery(rollups=agg)
-        for t in (0.5, 1.5, 2.5):
-            agg.ingest(TelemetryEvent(source="s", value=t, timestamp=t))
-        agg.flush()
-        query.top_k(1)
-        assert "s" in agg._blocks[0]
-        agg.ingest(TelemetryEvent(source="s", value=9.0, timestamp=1.2))
-        agg.flush()
-        assert same_ranking(query.top_k(1), loop_top_k(agg, 1))
-        assert agg._blocks[0] == {}
 
     def test_empty_inverted_and_nan_ranges(self):
         agg = TestRangeCorners().stream_store()

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.telemetry import TelemetryEvent, TumblingWindowAggregator
+from tests.telemetry.reference_reads import reference_windows
 
 
 def stream(values_by_time, source="s"):
@@ -110,15 +111,21 @@ class TestBoundedMemory:
         assert agg.late_events == 1
         assert agg.windows(source="s")[0].count == before
 
-    def test_allowed_lateness_admits_stragglers(self):
-        agg = TumblingWindowAggregator(
-            window_seconds=1.0, cascades=(), allowed_lateness=5.0
-        )
-        agg.ingest_many(stream([(0.5, 1.0), (5.0, 1.0)]))
-        agg.ingest(TelemetryEvent(source="s", value=3.0, timestamp=0.6))
-        assert agg.late_events == 0
+    def test_a_window_behind_the_newest_is_counted_late(self):
+        # 90 * 0.7 opens window 90 at 62.99999999999999, but window 89
+        # ends at 62.3 + 0.7 == 63.0: after a flush, an event at 62.5 is
+        # ahead of the watermark and opens a window behind the newest
+        agg = TumblingWindowAggregator(window_seconds=0.7, cascades=())
+        agg.ingest(TelemetryEvent(source="ok:shap", value=1.0, timestamp=90 * 0.7))
         agg.flush()
-        assert agg.windows(source="s")[0].count == 2
+        agg.ingest(TelemetryEvent(source="ok:shap", value=2.0, timestamp=62.5))
+        agg.flush()
+        series = agg._closed[0]["ok:shap"]
+        assert [w.window_start for w in series] == [62.99999999999999]
+        assert (agg.ingested, agg.late_events) == (1, 1)
+        got = agg.windows(source="ok:shap", start=62.0)
+        want = reference_windows(agg, "ok:shap", 0, 62.0)
+        assert [id(w) for w in got] == [id(w) for w in want]
 
 
 class TestQueriesAndStats:
