@@ -149,7 +149,7 @@ def _million_request_run():
     collector = TraceCollector()
     bus = TelemetryBus()
     received = []
-    bus.subscribe("bench", "gateway", callback=received.append)
+    bus.subscribe("bench", "gateway", callback=received.extend)
     sim, gateway = build_paper_deployment(seed=9)
     # the tracer's clock is the simulator built one line up, so it is
     # attached after construction rather than through the factory

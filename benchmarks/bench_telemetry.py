@@ -74,7 +74,7 @@ def throughput(event_stream, tmp_path_factory, figure_printer):
 
     bus = TelemetryBus()
     sink = []
-    bus.subscribe("sink", topics="t", capacity=N_EVENTS, callback=sink.append)
+    bus.subscribe("sink", topics="t", capacity=N_EVENTS, callback=sink.extend)
     start = time.perf_counter()
     for event in event_stream:
         bus.publish("t", event)

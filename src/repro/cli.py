@@ -572,7 +572,8 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
             print(f"  {name:<24} {score:.3f}")
     if args.tail:
         print(f"\nlast {args.tail} event(s):")
-        events = query.events()[-args.tail :]
+        selected = sources if args.source else None
+        events = query.events(sources=selected)[-args.tail :]
         for event in events:
             print(
                 f"  t={event.timestamp:<10.3f} {event.kind:<16} "

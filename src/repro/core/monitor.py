@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Deque, Dict, List, Optional, Union
 
 from repro.core.dashboard import AIDashboard
 from repro.core.registry import SensorRegistry
@@ -105,8 +105,12 @@ class ContinuousMonitor:
     def _subscribe_dashboard(
         self, dashboard: AIDashboard, capacity: int
     ) -> None:
-        def deliver(event: TelemetryEvent) -> None:
-            dashboard.add_reading(SensorReading.from_event(event))
+        def deliver(events: Deque[TelemetryEvent]) -> None:
+            # pop each event once the dashboard holds it, so a raising
+            # add_reading leaves the rest queued (see Subscription)
+            while events:
+                dashboard.add_reading(SensorReading.from_event(events[0]))
+                events.popleft()
 
         name = "dashboard"
         suffix = 1

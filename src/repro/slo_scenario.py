@@ -156,7 +156,7 @@ def run_incident_drill(
     # a complete stream.
     events: List[TelemetryEvent] = []
     pipeline.bus.subscribe(
-        "slo-drill-tap", capacity=1 << 17, callback=events.append
+        "slo-drill-tap", capacity=1 << 17, callback=events.extend
     )
     pipeline.start()
 

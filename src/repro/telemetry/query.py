@@ -205,14 +205,15 @@ class TelemetryQuery:
 
         This is the restart path: a process that lost its in-memory
         rollups streams the WAL back through a new aggregator and serves
-        hot queries again, with identical exact statistics.
+        hot queries again, with identical exact statistics.  The replay
+        streams through one :meth:`~TumblingWindowAggregator.ingest_many`
+        call, so no event list is built.
         """
         if self.wal_dir is None:
             raise RuntimeError("no cold WAL tier attached")
         aggregator = TumblingWindowAggregator(
             window_seconds=window_seconds, cascades=cascades
         )
-        for event in replay(self.wal_dir):
-            aggregator.ingest(event)
+        aggregator.ingest_many(replay(self.wal_dir))
         aggregator.flush()
         return aggregator

@@ -39,10 +39,11 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from math import floor, inf
 from operator import attrgetter
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.telemetry.bus import consume
 from repro.telemetry.events import TelemetryEvent
 
 
@@ -316,8 +317,8 @@ class TumblingWindowAggregator:
         evaluator attaches to: subscribers see each window exactly once,
         in finalisation order, the moment the watermark closes it — no
         polling, no re-reading of the retention deques.  Callbacks run
-        synchronously inside :meth:`ingest`/:meth:`flush`; they must not
-        mutate the aggregator.
+        synchronously inside :meth:`ingest_many`/:meth:`flush`; they must
+        not mutate the aggregator.
         """
         self._check_level(level)
         self._finalize_hooks.setdefault(level, []).append(callback)
@@ -329,33 +330,51 @@ class TumblingWindowAggregator:
         return floor(timestamp / size) * size
 
     def ingest(self, event: TelemetryEvent) -> None:
-        """Bucket one event; advances the watermark and finalises windows."""
-        timestamp = event.timestamp
-        size = self.window_sizes[0]
-        start = floor(timestamp / size) * size
-        if start + size <= self.watermark:
-            self.late_events += 1
-            return
-        key = (event.source, start)
-        values = self._open[0].get(key)
-        if values is None:
-            self._open[0][key] = [event.value]
-        else:
-            values.append(event.value)
-        self.ingested += 1
-        if timestamp > self.watermark:
-            self.watermark = timestamp
-            # window ends all fall on level-0 boundaries, so ripeness can
-            # only change when the watermark crosses one — skip the open-
-            # window scan otherwise (hot-path win at high event rates)
-            bucket = floor(timestamp / size)
-            if bucket != self._horizon_bucket:
-                self._horizon_bucket = bucket
-                self._finalize_ripe(timestamp)
+        """Bucket one event: :meth:`ingest_many` of one event."""
+        self.ingest_many((event,))
 
-    def ingest_many(self, events: Sequence[TelemetryEvent]) -> None:
-        for event in events:
-            self.ingest(event)
+    def ingest_many(self, events: Iterable[TelemetryEvent]) -> None:
+        """Bucket events in order; advances the watermark and finalises
+        windows as it crosses level-0 boundaries.
+
+        This is the ``rollup`` subscription's bus callback.  If an event
+        raises (a non-finite timestamp, or a finalise hook), the events
+        before it are popped off a deque batch (:func:`~repro.telemetry.
+        bus.consume`) and the error re-raised.  A hook may publish into a
+        pipeline that pumps this aggregator again, so the watermark is
+        re-read after every finalisation.
+        """
+        size = self.window_sizes[0]
+        open_buckets = self._open[0]
+        watermark = self.watermark
+        done = 0
+        try:
+            for done, event in enumerate(events):
+                timestamp = event.timestamp
+                bucket = floor(timestamp / size)
+                start = bucket * size
+                if start + size <= watermark:
+                    self.late_events += 1
+                    continue
+                key = (event.source, start)
+                values = open_buckets.get(key)
+                if values is None:
+                    open_buckets[key] = [event.value]
+                else:
+                    values.append(event.value)
+                self.ingested += 1
+                if timestamp > watermark:
+                    self.watermark = watermark = timestamp
+                    # window ends all fall on level-0 boundaries, so
+                    # ripeness can only change when the watermark crosses
+                    # one — skip the open-window scan otherwise
+                    if bucket != self._horizon_bucket:
+                        self._horizon_bucket = bucket
+                        self._finalize_ripe(timestamp)
+                        watermark = self.watermark
+        except BaseException:
+            consume(events, done)
+            raise
 
     # -- window finalisation -----------------------------------------------------
 

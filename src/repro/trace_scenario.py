@@ -154,7 +154,7 @@ def run_traced_scenario(
         "trace-scenario-tap",
         topics=GATEWAY_TOPIC,
         capacity=1 << 16,
-        callback=events.append,
+        callback=events.extend,
     )
 
     generator = LoadGenerator(

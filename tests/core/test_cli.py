@@ -124,6 +124,13 @@ class TestTelemetryCommand:
         assert "last 3 event(s):" in out
         assert "t=29" in out
 
+    def test_tail_keeps_to_the_selected_source(self, wal_dir, capsys):
+        argv = ["telemetry", "--wal", str(wal_dir), "--source", "perf", "--tail", "3"]
+        assert main(argv) == 0
+        tail = capsys.readouterr().out.split("last 3 event(s):")[1].splitlines()[1:]
+        assert [line.split()[2] for line in tail] == ["perf"] * 3
+        assert "t=29" in tail[-1]
+
     def test_json_mode(self, wal_dir, capsys):
         assert main(["telemetry", "--wal", str(wal_dir), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -96,7 +96,7 @@ class TestRoundSpans:
     def test_events_carry_sensor_span_exemplars(self, traced_monitor):
         monitor, _, _, collector = traced_monitor
         seen = []
-        monitor.bus.subscribe("tap", callback=seen.append)
+        monitor.bus.subscribe("tap", callback=seen.extend)
         record = monitor.poll_once()
         monitor.telemetry.pump()
         assert len(seen) == 2

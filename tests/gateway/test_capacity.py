@@ -320,7 +320,7 @@ class TestTracingAndTelemetry:
     def test_summary_events_published_to_telemetry(self):
         bus = TelemetryBus()
         received = []
-        bus.subscribe("probe", "gateway", callback=received.append)
+        bus.subscribe("probe", "gateway", callback=received.extend)
         sim, gateway = simple_deployment(base=0.01)
         runner = CapacityRunner(
             sim, gateway, retain_records=False, seed=0, telemetry=bus

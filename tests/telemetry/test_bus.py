@@ -3,6 +3,7 @@
 import pytest
 
 from repro.telemetry import BackpressureError, TelemetryBus, TelemetryEvent
+from repro.telemetry.bus import consume
 
 
 def make_event(i=0, source="s", topic_value=1.0):
@@ -61,6 +62,19 @@ class TestTopicRouting:
         bus.publish("c", make_event())
         assert sub.backlog == 2
 
+    def test_routes_follow_subscriptions_made_after_a_publish(self, bus):
+        early = bus.subscribe("early", topics="t")
+        bus.publish("t", make_event(0))
+        late = bus.subscribe("late", topics="t")
+        everything = bus.subscribe("all")
+        bus.publish("t", make_event(1))
+        bus.unsubscribe("early")
+        assert bus.publish("t", make_event(2)) == 2
+        assert [e.timestamp for e in early.poll()] == [0.0, 1.0]
+        assert [e.timestamp for e in late.poll()] == [1.0, 2.0]
+        assert [e.timestamp for e in everything.poll()] == [1.0, 2.0]
+        assert bus.stats()["topics"]["t"]["delivered"] == 6
+
     def test_publish_returns_placements(self, bus):
         bus.subscribe("x", topics="t")
         bus.subscribe("y", topics="t")
@@ -116,12 +130,15 @@ class TestDelivery:
         seen = []
         sub = bus.subscribe("cb", topics="t", callback=seen.append)
         bus.publish("t", make_event(1))
-        sub.poll()
-        assert len(seen) == 1
+        bus.publish("t", make_event(2))
+        batch = sub.poll()
+        # one call, with the whole drained batch, which poll returns
+        assert seen == [batch]
+        assert [e.timestamp for e in batch] == [1.0, 2.0]
 
     def test_pump_drains_callback_subscribers_only(self, bus):
         seen = []
-        bus.subscribe("cb", topics="t", callback=seen.append)
+        bus.subscribe("cb", topics="t", callback=seen.extend)
         pull = bus.subscribe("pull", topics="t")
         bus.publish("t", make_event())
         assert bus.pump() == 1
@@ -137,15 +154,16 @@ class TestDelivery:
 
     def test_failing_callback_keeps_the_rest_of_the_batch(self, bus):
         """A raising callback loses nothing on a lossless subscription:
-        the failing event and those after it stay queued, ahead of any
-        event published meanwhile, and only returned callbacks count."""
+        the events it did not pop stay queued, ahead of any event
+        published meanwhile, and only the popped events count."""
         seen = []
         broken = {1.0}
 
-        def sink(event):
-            if event.timestamp in broken:
-                raise OSError("disk full")
-            seen.append(event.timestamp)
+        def sink(batch):
+            while batch:
+                if batch[0].timestamp in broken:
+                    raise OSError("disk full")
+                seen.append(batch.popleft().timestamp)
 
         sub = bus.subscribe("audit", topics="t", policy="error", callback=sink)
         for i in range(4):
@@ -165,11 +183,13 @@ class TestDelivery:
     def test_failing_callback_under_max_events(self, bus):
         seen = []
 
-        def sink(event):
-            if event.timestamp == 2.0 and not seen[2:]:
-                seen.append("failed")
-                raise ValueError("bad event")
-            seen.append(event.timestamp)
+        def sink(batch):
+            for done, event in enumerate(batch):
+                if event.timestamp == 2.0 and not seen[2:]:
+                    seen.append("failed")
+                    consume(batch, done)
+                    raise ValueError("bad event")
+                seen.append(event.timestamp)
 
         sub = bus.subscribe("cb", topics="t", callback=sink)
         for i in range(5):
@@ -185,10 +205,11 @@ class TestDelivery:
         """Events a callback publishes wait for the next drain."""
         seen = []
 
-        def echo(event):
-            seen.append(event.timestamp)
-            if event.timestamp < 10.0:
-                bus.publish("t", make_event(event.timestamp + 10.0))
+        def echo(batch):
+            for event in batch:
+                seen.append(event.timestamp)
+                if event.timestamp < 10.0:
+                    bus.publish("t", make_event(event.timestamp + 10.0))
 
         bus.subscribe("echo", topics="t", callback=echo)
         bus.publish("t", make_event(0))
