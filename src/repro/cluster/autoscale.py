@@ -101,8 +101,7 @@ class ClusterAutoscaler:
         sim = self.runner.sim
         now = sim.now
         self.ticks += 1
-        for event in self.runner.node_events(now):
-            self.aggregator.ingest(event)
+        self.aggregator.ingest_many(self.runner.node_events(now))
         pressures = self._window_pressures()
         if pressures and now - self._last_action_at >= (
             self.policy.cooldown_seconds
